@@ -50,7 +50,11 @@ def demo_front_end():
     print("1) asyncio front-end: mixed concurrent outcomes")
 
     async def scenario():
-        with SolveService(workers=2, quota_rate=50.0, quota_burst=5.0) as svc:
+        # A burst of 5 admits the first five submissions; at 0.001 tokens/s
+        # no sixth token can refill during the stage, however slowly the
+        # first solves run, so the last submission is always shed.
+        with SolveService(workers=2, quota_rate=1e-3,
+                          quota_burst=5.0) as svc:
             jobs = [svc.submit(CG_DECK, tenant="acme", n=12)
                     for _ in range(3)]
             jobs.append(svc.submit(CG_DECK, tenant="acme", n=12,

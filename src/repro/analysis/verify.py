@@ -259,7 +259,7 @@ def _measure(spec: VerifySpec, n: int,
     """Per-iteration (allreduces, halos) for one spec via window deltas.
 
     With ``resilience=True`` the solve is routed through the canonical
-    resilient stack (``InstrumentedComm(RetryingComm(FaultyComm(...)))``
+    resilient stack (:func:`~repro.resilience.runner.build_resilient_comm`)
     with a disabled :class:`~repro.resilience.faults.FaultPlan`) instead
     of a bare instrumented communicator — proving the retry/injection
     layers are contract-transparent when no faults fire.

@@ -10,6 +10,7 @@ mpi4py-flavoured API:
   mailboxes and collectives synchronise on barriers, so every distributed
   algorithm (halo exchange at any depth, reduction placement, matrix powers)
   executes genuinely decomposed;
+- :class:`CommLayer` — the forwarding base of every communicator wrapper;
 - :class:`InstrumentedComm` — a transparent wrapper counting messages, bytes
   and reductions into an :class:`~repro.utils.events.EventLog`, feeding the
   performance model;
@@ -22,7 +23,7 @@ mpi4py-flavoured API:
   offending call-sites.
 """
 
-from repro.comm.base import Communicator, REDUCE_OPS
+from repro.comm.base import CommLayer, Communicator, REDUCE_OPS
 from repro.comm.serial import SerialComm
 from repro.comm.threaded import ThreadComm, ThreadWorld
 from repro.comm.instrument import (RECOVERY_KIND, RETRY_KIND, EventWindow,
@@ -32,6 +33,7 @@ from repro.comm.spmd import launch_spmd
 from repro.utils.errors import SanitizerError
 
 __all__ = [
+    "CommLayer",
     "Communicator",
     "REDUCE_OPS",
     "RECOVERY_KIND",

@@ -105,8 +105,13 @@ class Communicator(ABC):
         """Buffered send of ``obj`` to ``dest`` (payload is copied)."""
 
     @abstractmethod
-    def recv(self, source: int, tag: int = 0):
-        """Blocking receive of the next message from ``source`` with ``tag``."""
+    def recv(self, source: int, tag: int = 0,
+             timeout: float | None = None):
+        """Blocking receive of the next message from ``source`` with ``tag``.
+
+        ``timeout`` (seconds) bounds the wait; ``None`` leaves the bound to
+        the transport (a world-level deadlock guard, or none at all).
+        """
 
     def sendrecv(self, obj, dest: int, source: int, tag: int = 0):
         """Send to ``dest`` and receive from ``source`` on the same tag."""
@@ -155,3 +160,43 @@ class Communicator(ABC):
                 f"peer rank {peer} out of range [0,{self.size})")
         if peer == self.rank:
             raise CommunicationError("self-sends are not supported")
+
+
+class CommLayer(Communicator):
+    """A communicator that wraps another and forwards every operation.
+
+    The base of every interceptor in the library (instrumentation, fault
+    injection, retry, integrity, sanitizer).  ``inner``, ``rank`` and
+    ``size`` are plain attributes fixed at construction.  A subclass
+    overrides only the operations it changes; the rest reach ``inner``
+    unchanged.  ``isend``/``irecv`` keep :class:`Communicator`'s defaults,
+    which route through ``self.send``/``self.recv``, so every layer
+    intercepts a non-blocking operation exactly once.
+    """
+
+    def __init__(self, inner: Communicator):
+        self.inner = inner
+        self.rank = inner.rank
+        self.size = inner.size
+
+    def send(self, obj, dest: int, tag: int = 0) -> None:
+        self.inner.send(obj, dest, tag)
+
+    def recv(self, source: int, tag: int = 0,
+             timeout: float | None = None):
+        return self.inner.recv(source, tag, timeout=timeout)
+
+    def allreduce(self, value, op: str = "sum"):
+        return self.inner.allreduce(value, op)
+
+    def bcast(self, obj, root: int = 0):
+        return self.inner.bcast(obj, root)
+
+    def gather(self, obj, root: int = 0):
+        return self.inner.gather(obj, root)
+
+    def allgather(self, obj) -> list:
+        return self.inner.allgather(obj)
+
+    def barrier(self) -> None:
+        self.inner.barrier()

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.comm.base import Communicator, payload_bytes
+from repro.comm.base import CommLayer, Communicator, payload_bytes
 from repro.utils.events import RECOVERY_KIND, EventLog
 
 #: Event kind recorded (by :class:`~repro.resilience.retry.RetryingComm`)
 #: for every *re-issued* communication attempt.  Retries are accounted
-#: separately from the logical operation counts: with the canonical stack
-#: ``InstrumentedComm(RetryingComm(FaultyComm(base)))`` the instrument
-#: layer sees each operation exactly once no matter how many times the
-#: retry layer re-issues it, so ``count_kind("allreduce")`` etc. remain
-#: *first-attempt* counts and the COMM_CONTRACT verifier is unaffected by
-#: legal retries.  Query retries with ``count_kind(RETRY_KIND)`` or
-#: :meth:`EventWindow.retry_count`.
+#: separately from the logical operation counts: in the canonical stack
+#: (see :func:`~repro.resilience.runner.build_resilient_comm`) the
+#: instrument layer sits above the retry layer and sees each operation
+#: exactly once no matter how many times it is re-issued, so
+#: ``count_kind("allreduce")`` etc. remain *first-attempt* counts and the
+#: COMM_CONTRACT verifier is unaffected by legal retries.  Query retries
+#: with ``count_kind(RETRY_KIND)`` or :meth:`EventWindow.retry_count`.
 RETRY_KIND = "comm_retry"
 
 __all__ = ["RETRY_KIND", "RECOVERY_KIND", "EventWindow", "InstrumentedComm"]
@@ -118,7 +118,7 @@ class EventWindow:
         return log
 
 
-class InstrumentedComm(Communicator):
+class InstrumentedComm(CommLayer):
     """Delegates to an inner communicator while counting traffic.
 
     Recorded events (kind, key):
@@ -130,17 +130,20 @@ class InstrumentedComm(Communicator):
       ``("barrier", None)``
 
     A :class:`~repro.observe.trace.Tracer` may be attached to additionally
-    emit one timed span per operation (names mirror the event kinds).  With
-    the default null tracer the span calls are no-ops that allocate nothing.
+    emit one timed span per operation (names and keys mirror the event
+    kinds, so span counts and event counts cross-check one-to-one).  This
+    is the one place a comm operation is both counted and spanned.  With
+    the default null tracer the span calls are no-ops that allocate
+    nothing.
     """
 
     def __init__(self, inner: Communicator, events: EventLog | None = None,
                  tracer=None):
-        self.inner = inner
+        super().__init__(inner)
         self.events = events if events is not None else EventLog()
         if tracer is None:
-            # Deferred import: repro.observe.hooks imports repro.comm.base,
-            # and this module is pulled in by repro.comm's package init.
+            # Deferred import: repro.observe pulls in repro.comm, and this
+            # module is loaded by repro.comm's package init.
             from repro.observe.trace import NULL_TRACER
             tracer = NULL_TRACER
         self.tracer = tracer
@@ -148,14 +151,6 @@ class InstrumentedComm(Communicator):
     def window(self) -> EventWindow:
         """Open an :class:`EventWindow` over this communicator's log."""
         return EventWindow(self.events)
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
 
     # -- point to point -----------------------------------------------------------
 
@@ -167,10 +162,7 @@ class InstrumentedComm(Communicator):
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
         with self.tracer.span("p2p_recv", tag):
-            if timeout is None:
-                obj = self.inner.recv(source, tag)
-            else:
-                obj = self.inner.recv(source, tag, timeout=timeout)
+            obj = self.inner.recv(source, tag, timeout=timeout)
         self.events.record("p2p_recv", tag, bytes=payload_bytes(obj))
         return obj
 

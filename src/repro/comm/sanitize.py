@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.base import Communicator, Request
+from repro.comm import base as _base
+from repro.comm.base import CommLayer, Communicator, Request
 from repro.utils.errors import CommunicationError, SanitizerError
 
 #: Default bound on how long one rank may sit in a collective waiting for
@@ -51,13 +52,15 @@ DEFAULT_COLLECTIVE_TIMEOUT_S = 60.0
 #: Default bound on a blocking point-to-point receive.
 DEFAULT_P2P_TIMEOUT_S = 30.0
 
-_THIS_FILE = __file__
+#: Frames skipped when naming a call-site: the sanitizer itself and the
+#: default ``isend``/``irecv``/``sendrecv`` that route through it.
+_INTERNAL_FILES = frozenset({__file__, _base.__file__})
 
 
 def _callsite() -> str:
-    """``file.py:line`` of the innermost frame outside the sanitizer."""
+    """``file.py:line`` of the innermost frame outside the comm internals."""
     for frame in reversed(traceback.extract_stack()):
-        if frame.filename != _THIS_FILE:
+        if frame.filename not in _INTERNAL_FILES:
             return f"{frame.filename}:{frame.lineno}"
     return "<unknown>"
 
@@ -326,7 +329,7 @@ class _SanitizedRecvRequest(Request):
         return self._value
 
 
-class SanitizerComm(Communicator):
+class SanitizerComm(CommLayer):
     """Transparent sanitizing wrapper around any communicator.
 
     Parameters
@@ -346,7 +349,7 @@ class SanitizerComm(Communicator):
     def __init__(self, inner: Communicator,
                  state: SanitizerState | None = None,
                  p2p_timeout: float = DEFAULT_P2P_TIMEOUT_S):
-        self.inner = inner
+        super().__init__(inner)
         self.state = state if state is not None \
             else SanitizerState(inner.size)
         if self.state.size != inner.size:
@@ -354,14 +357,6 @@ class SanitizerComm(Communicator):
                 f"sanitizer state is sized for {self.state.size} rank(s) "
                 f"but the wrapped communicator has {inner.size}")
         self.p2p_timeout = p2p_timeout
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
 
     def __getattr__(self, name: str):
         # Transparency: expose whatever the wrapped stack offers (events,
@@ -379,11 +374,6 @@ class SanitizerComm(Communicator):
         self.state.record_send(self.rank, dest, tag, obj, site)
         self.inner.send(obj, dest, tag)
 
-    def isend(self, obj, dest: int, tag: int = 0) -> Request:
-        site = _callsite()
-        self.state.record_send(self.rank, dest, tag, obj, site)
-        return self.inner.isend(obj, dest, tag)
-
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
         site = _callsite()
@@ -393,10 +383,7 @@ class SanitizerComm(Communicator):
             f"in p2p recv from {source} tag={tag} at {site}"
         bound = self.p2p_timeout if timeout is None else timeout
         try:
-            try:
-                obj = self.inner.recv(source, tag, timeout=bound)
-            except TypeError:
-                obj = self.inner.recv(source, tag)
+            obj = self.inner.recv(source, tag, timeout=bound)
         except SanitizerError:
             raise
         except CommunicationError as exc:

@@ -31,6 +31,7 @@ lands before it drains.)
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 
 from repro.comm.base import (
@@ -41,8 +42,6 @@ from repro.comm.base import (
 )
 from repro.utils.errors import CommunicationError
 
-#: How long a blocking receive waits between abort checks.
-_POLL_S = 0.02
 #: Receive timeout; exceeded only by deadlocked exchanges, so fail loudly.
 _RECV_TIMEOUT_S = 120.0
 
@@ -105,9 +104,10 @@ class ThreadWorld:
     def _collect(self, src: int, dst: int, tag: int,
                  timeout: float | None = None):
         key = (src, dst, tag)
-        deadline = self.recv_timeout_s if timeout is None else timeout
+        bound = self.recv_timeout_s if timeout is None else timeout
         why = ("probable deadlock" if timeout is None
                else "dead peer or dropped message")
+        deadline = time.monotonic() + bound
         with self._mailbox_cv:
             while True:
                 box = self._mailboxes.get(key)
@@ -117,13 +117,14 @@ class ThreadWorld:
                     raise CommunicationError(
                         f"world aborted while rank {dst} awaited "
                         f"(src={src}, tag={tag})")
-                if deadline <= 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     raise CommunicationError(
-                        f"receive timeout after "
-                        f"{self.recv_timeout_s if timeout is None else timeout}s: "
+                        f"receive timeout after {bound}s: "
                         f"rank {dst} awaiting src={src} tag={tag} — {why}")
-                self._mailbox_cv.wait(_POLL_S)
-                deadline -= _POLL_S
+                # abort() notifies this condition, so waiting out the
+                # whole remainder cannot miss a world failure.
+                self._mailbox_cv.wait(remaining)
 
     def _sync(self, rank: int) -> None:
         """Block until every rank has arrived at this sync generation.
@@ -138,20 +139,20 @@ class ThreadWorld:
             self._arrivals[rank] += 1
             gen = self._arrivals[rank]
             self._sync_cv.notify_all()
-            deadline = self.recv_timeout_s
+            deadline = time.monotonic() + self.recv_timeout_s
             while True:
                 if all(a >= gen for a in self._arrivals):
                     return
                 if self._aborted.is_set():
                     raise CommunicationError(
                         "world aborted during a collective")
-                if deadline <= 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     raise CommunicationError(
                         f"collective timeout after {self.recv_timeout_s}s: "
                         f"rank {rank} at sync generation {gen} — "
                         f"probable deadlock")
-                self._sync_cv.wait(_POLL_S)
-                deadline -= _POLL_S
+                self._sync_cv.wait(remaining)
 
 
 class _MailboxRequest(Request):

@@ -1,13 +1,10 @@
 """Bounded retry with deterministic exponential backoff.
 
-:class:`RetryingComm` sits between the instrumentation layer and the
-fault injector in the canonical resilient stack::
-
-    InstrumentedComm(RetryingComm(FaultyComm(base)))
-
-It re-issues operations that fail with
-:class:`~repro.utils.errors.TransientCommError` — the *recoverable* fault
-class — up to ``max_attempts`` times, sleeping
+:class:`RetryingComm` sits below the instrumentation layer and above the
+fault injector in the canonical resilient stack (see
+:func:`~repro.resilience.runner.build_resilient_comm`).  It re-issues
+operations that fail with :class:`~repro.utils.errors.TransientCommError`
+— the *recoverable* fault class — up to ``max_attempts`` times, sleeping
 ``base_delay * backoff ** (attempt - 1)`` between attempts on a pluggable
 clock.  Plain :class:`~repro.utils.errors.CommunicationError` (API
 misuse, a receive timeout on a genuinely dropped message, an aborted
@@ -26,7 +23,7 @@ reproducible and makes backoff costs measurable in tests.
 
 from __future__ import annotations
 
-from repro.comm.base import Communicator
+from repro.comm.base import CommLayer, Communicator
 from repro.comm.instrument import RETRY_KIND
 from repro.utils.errors import ConfigurationError, TransientCommError
 from repro.utils.events import EventLog
@@ -61,7 +58,7 @@ class VirtualClock:
         return t
 
 
-class RetryingComm(Communicator):
+class RetryingComm(CommLayer):
     """Communicator decorator that retries transient failures.
 
     Parameters
@@ -112,7 +109,7 @@ class RetryingComm(Communicator):
             raise ConfigurationError(
                 f"max_delay ({max_delay}) must be >= base_delay "
                 f"({base_delay})")
-        self.inner = inner
+        super().__init__(inner)
         self.max_attempts = max_attempts
         self.base_delay = base_delay
         self.backoff = backoff
@@ -123,14 +120,6 @@ class RetryingComm(Communicator):
         self.cancel = cancel
         #: total re-issued attempts across all operations
         self.retries = 0
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
 
     def _attempt(self, op_name: str, call):
         """Run ``call`` with bounded retry on TransientCommError."""
@@ -168,9 +157,6 @@ class RetryingComm(Communicator):
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None):
         per_attempt = timeout if timeout is not None else self.recv_timeout
-        if per_attempt is None:
-            return self._attempt(
-                "recv", lambda: self.inner.recv(source, tag))
         return self._attempt(
             "recv", lambda: self.inner.recv(source, tag,
                                             timeout=per_attempt))

@@ -3,7 +3,7 @@
 Two conveniences live here:
 
 - :func:`build_resilient_comm` assembles the canonical communicator stack
-  ``InstrumentedComm(RetryingComm(FaultyComm(base)))`` and returns all the
+  (its docstring is where the layer order is stated) and returns all the
   layers so callers can inspect fault logs, retry counts and the virtual
   clock afterwards;
 - :func:`run_resilient` runs one :class:`~repro.solvers.SolverOptions`
@@ -34,9 +34,9 @@ from repro.solvers.result import SolveResult
 from repro.utils.errors import CheckpointError
 from repro.utils.events import EventLog, recovery_scope
 
-#: Per-attempt receive timeout (seconds) used by the resilient stack; the
-#: thread world polls every 20 ms, so this rides out scheduling noise while
-#: still turning a genuinely dropped message into an error promptly.
+#: Per-attempt receive timeout (seconds) used by the resilient stack: long
+#: enough to ride out scheduling noise, short enough to turn a genuinely
+#: dropped message into an error promptly.
 DEFAULT_RECV_TIMEOUT_S = 5.0
 
 
@@ -67,17 +67,24 @@ def build_resilient_comm(base: Communicator,
                          cancel=None) -> ResilientStack:
     """Wrap ``base`` in the canonical resilient stack.
 
+    The layer order, outermost first (the second with ``integrity=True``;
+    docs/resilience.md mirrors this, and every other module points here)::
+
+        InstrumentedComm(RetryingComm(FaultyComm(base)))
+        InstrumentedComm(RetryingComm(ChecksumComm(FaultyComm(base))))
+
     The order matters: the instrument layer is outermost so its counts are
     logical (first-attempt) operation counts no matter how many times the
     retry layer re-issues — which is what keeps the COMM_CONTRACT verifier
     oblivious to legal retries (see
     :data:`repro.comm.instrument.RETRY_KIND`).
 
-    With ``integrity=True`` a :class:`ChecksumComm` is inserted between
+    With ``integrity=True`` the :class:`ChecksumComm` is inserted between
     the retry and fault layers — detections surface as retryable
     :class:`~repro.utils.errors.ChecksumError` *below* the retry layer
     while the instrument layer still sees one logical op, so contract
-    counts are unchanged.
+    counts are unchanged.  A :class:`~repro.comm.sanitize.SanitizerComm`,
+    when used, wraps the whole stack from outside.
     """
     log = events if events is not None else EventLog()
     clk = clock if clock is not None else VirtualClock()

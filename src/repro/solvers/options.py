@@ -148,8 +148,8 @@ class SolverOptions:
     #: (:data:`repro.resilience.runner.DEFAULT_RECV_TIMEOUT_S`); a
     #: positive value overrides it, turning a dead peer into a
     #: :class:`~repro.utils.errors.CommunicationError` after that long.
-    #: Must be at least 0.05 s when set: the thread world polls its
-    #: mailboxes every 20 ms, so tighter deadlines are pure noise.
+    #: Must be at least 0.05 s when set: tighter deadlines are within
+    #: thread-scheduling noise and would fail healthy receives.
     comm_timeout: float = 0.0
 
     def __post_init__(self):
@@ -221,9 +221,9 @@ class SolverOptions:
         check_positive("comm_timeout", self.comm_timeout, allow_zero=True)
         require(
             not (0 < self.comm_timeout < 0.05),
-            f"comm_timeout {self.comm_timeout} s is below the thread "
-            "world's 20 ms mailbox poll quantum; use >= 0.05 s (or 0 for "
-            "the library default)",
+            f"comm_timeout {self.comm_timeout} s is within thread-"
+            "scheduling noise; use >= 0.05 s (or 0 for the library "
+            "default)",
         )
 
     @property

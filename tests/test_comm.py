@@ -1,5 +1,8 @@
 """Unit tests: communicators (serial, threaded, instrumented, spmd)."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -180,6 +183,36 @@ class TestThreadComm:
     def test_world_invalid_rank(self):
         with pytest.raises(CommunicationError):
             ThreadWorld(2).comm(2)
+
+    def test_recv_timeout_is_wall_clock_under_unrelated_traffic(self):
+        """Rank 0 waits 1 s for a message that never comes while ranks 1
+        and 2 ping-pong 300 messages.  Every deposit wakes rank 0; the
+        timeout must still fire after the full second, not after a number
+        of wakeups."""
+        world = ThreadWorld(3)
+
+        def ping_pong(rank):
+            comm, peer = world.comm(rank), 3 - rank
+            for i in range(150):
+                if rank == 1:
+                    comm.send(i, dest=peer, tag=1)
+                    comm.recv(peer, tag=1)
+                else:
+                    comm.send(comm.recv(peer, tag=1), dest=peer, tag=1)
+
+        threads = [threading.Thread(target=ping_pong, args=(r,))
+                   for r in (1, 2)]
+        t0 = time.monotonic()
+        for t in threads:
+            t.start()
+        with pytest.raises(CommunicationError,
+                           match="receive timeout after 1.0s"):
+            world.comm(0).recv(1, tag=0, timeout=1.0)
+        elapsed = time.monotonic() - t0
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert elapsed >= 1.0
 
 
 class TestFailurePropagation:
