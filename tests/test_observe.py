@@ -447,8 +447,14 @@ def test_span_counts_match_comm_contracts():
 # -- retry exclusion -----------------------------------------------------------
 
 
-def _faulty_cg(seed=11, rate=0.05):
-    """cg on a fault-injecting stack, traced by its instrument layer."""
+def _faulty_cg(tracer_at, seed=11, rate=0.05):
+    """cg on a fault-injecting stack, traced by its instrument layer.
+
+    ``tracer_at`` says how the tracer reaches that layer:
+    ``"instrument_outer"`` hands it to the outermost InstrumentedComm when
+    the stack is built; ``"tracing_outer"`` installs it afterwards from
+    the operator down, through :func:`attach_tracer`.
+    """
     grid, kxg, kyg, bg = crooked_pipe_system(16)
     log = EventLog()
     tracer = Tracer(clock=VirtualClock(tick=1e-6))
@@ -458,22 +464,29 @@ def _faulty_cg(seed=11, rate=0.05):
         if rate > 0 else FaultPlan.disabled()
     faulty = FaultyComm(SerialComm(), plan, events=log, clock=clock)
     retrying = RetryingComm(faulty, max_attempts=5, clock=clock, events=log)
-    comm = InstrumentedComm(retrying, log, tracer=tracer)
+    if tracer_at == "instrument_outer":
+        comm = InstrumentedComm(retrying, log, tracer=tracer)
+    else:
+        comm = InstrumentedComm(retrying, log)
     tile = decompose(grid, 1)[0]
     op = StencilOperator2D.from_global_faces(tile, 1, kxg, kyg, comm,
                                              events=log)
+    if tracer_at == "tracing_outer":
+        attach_tracer(op, tracer)
+    assert comm.tracer is tracer
     b = Field.from_global(tile, 1, bg)
     with EventWindow(log) as w:
         result = cg_solve(op, b, eps=1e-300, max_iters=10)
     return w, result, tracer, retrying
 
 
-def test_retries_excluded_from_first_attempt_counts():
+@pytest.mark.parametrize("tracer_at", ["instrument_outer", "tracing_outer"])
+def test_retries_excluded_from_first_attempt_counts(tracer_at):
     """RETRY_KIND re-issues never inflate contract counts, and the
     instrument layer's tracer sees exactly the first-attempt operations
-    its event log counts."""
-    clean_w, clean_result, _, _ = _faulty_cg(rate=0.0)
-    w, result, tracer, retrying = _faulty_cg()
+    its event log counts, however the tracer was installed."""
+    clean_w, clean_result, _, _ = _faulty_cg(tracer_at, rate=0.0)
+    w, result, tracer, retrying = _faulty_cg(tracer_at)
     assert result.iterations == clean_result.iterations == 10
     assert retrying.retries > 0, "fault plan injected nothing"
     assert w.retry_count("allreduce") == retrying.retries
