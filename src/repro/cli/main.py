@@ -253,8 +253,9 @@ def _cmd_bench(args) -> int:
     if args.compare:
         return bench_main(["--compare", *args.compare,
                            "--threshold", str(args.threshold)])
-    argv = ["--out", args.out, "--pr", str(args.pr),
-            "--repeats", str(args.repeats)]
+    argv = ["--out", args.out, "--repeats", str(args.repeats)]
+    if args.pr is not None:
+        argv += ["--pr", str(args.pr)]
     if args.quick:
         argv.append("--quick")
     if args.backends:
@@ -273,7 +274,7 @@ def _cmd_serve(args) -> int:
             "--group-size", str(args.group_size), "--out", args.out]
     if args.no_chaos:
         argv.append("--no-chaos")
-    if args.index >= 0:
+    if args.index is not None:
         argv += ["--index", str(args.index)]
     return sweep_main(argv)
 
@@ -440,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="pinned kernel + solver microbenchmarks -> BENCH_<n>.json")
     p_bench.add_argument("--out", default="results/bench",
                          help="directory for BENCH_<n>.json")
-    p_bench.add_argument("--pr", type=int, default=0,
-                         help="ledger index (0: next free slot in --out)")
+    p_bench.add_argument("--pr", type=int, default=None,
+                         help="ledger index (default: next free slot in "
+                              "--out)")
     p_bench.add_argument("--repeats", type=int, default=5,
                          help="timed repeats per case (min is reported)")
     p_bench.add_argument("--quick", action="store_true",
@@ -468,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable fault storms / crashes")
     p_serve.add_argument("--out", default="results/service",
                          help="directory for SERVICE_<n>.json")
-    p_serve.add_argument("--index", type=int, default=-1,
-                         help="pin the ledger index (-1: next free slot)")
+    p_serve.add_argument("--index", type=int, default=None,
+                         help="pin the ledger index (default: next free "
+                              "slot)")
     p_serve.add_argument("--demo", action="store_true",
                          help="run the asyncio front-end demo instead")
     p_serve.set_defaults(func=_cmd_serve)

@@ -31,12 +31,12 @@ backend executes the identical iteration sequence.
 from __future__ import annotations
 
 import json
-import re
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.harness.ledger import write_ledger
 from repro.kernels import (
     KERNEL_STREAMS,
     available_backends,
@@ -45,8 +45,6 @@ from repro.kernels import (
 )
 
 SCHEMA = "repro.bench/v1"
-
-_LEDGER_RE = re.compile(r"BENCH_(\d+)\.json$")
 
 #: Kernel-suite grid sizes (cells = n*n).  The large grid exceeds L2 by a
 #: wide margin so cache blocking has something to win.
@@ -252,24 +250,6 @@ def to_json(ledger: dict) -> str:
     return json.dumps(ledger, indent=2, sort_keys=True)
 
 
-def next_ledger_path(out_dir: Path) -> Path:
-    """The first unused ``BENCH_<n>.json`` path under ``out_dir``."""
-    out_dir = Path(out_dir)
-    taken = [int(m.group(1)) for p in out_dir.glob("BENCH_*.json")
-             if (m := _LEDGER_RE.match(p.name))]
-    return out_dir / f"BENCH_{max(taken, default=-1) + 1}.json"
-
-
-def write_ledger(ledger: dict, out_dir: Path, index: int = 0) -> Path:
-    """Persist as ``BENCH_<index>.json`` (0: next free slot)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = (out_dir / f"BENCH_{index}.json" if index
-            else next_ledger_path(out_dir))
-    path.write_text(to_json(ledger) + "\n", encoding="utf-8")
-    return path
-
-
 def render(ledger: dict) -> str:
     """Human-readable ledger table (kernel section groups by grid)."""
     lines = [f"== bench: schema={ledger['schema']} "
@@ -375,8 +355,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="wall-time ratio above which a compared case "
                              "counts as a regression (default 1.25)")
     parser.add_argument("--out", default="results/bench")
-    parser.add_argument("--pr", type=int, default=0,
-                        help="ledger index (0: next free slot)")
+    parser.add_argument("--pr", type=int, default=None,
+                        help="ledger index (default: next free slot)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument("--quick", action="store_true",
@@ -397,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
                 if args.backends else None)
     ledger = run_bench(repeats=args.repeats, warmup=args.warmup,
                        quick=args.quick, backends=backends)
-    path = write_ledger(ledger, Path(args.out), index=args.pr)
+    path = write_ledger(args.out, "BENCH", to_json(ledger), index=args.pr)
     print(render(ledger))
     for label, ratio in fused_speedups(ledger).items():
         print(f"  fused/numpy apply_axpy_dot {label}: {ratio:.2f}x")

@@ -20,18 +20,15 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
+from repro.harness.ledger import write_ledger
 from repro.physics.deck import CROOKED_PIPE_DECK
 from repro.resilience.chaos import ORACLE_RESIDUAL_SLACK, GoldenCache
 from repro.service.engine import ServiceConfig, ServiceEngine
 from repro.service.requests import STATUSES, SolveRequest
 
 SCHEMA = "repro.service/v1"
-
-_LEDGER_RE = re.compile(r"SERVICE_(\d+)\.json$")
 
 #: (tenant, arrival weight); acme is the deliberate heavy hitter.
 TENANTS = (("acme", 5), ("beta", 3), ("gamma", 2))
@@ -322,25 +319,6 @@ def run_service_sweep(seed: int = 20170905,
     )
 
 
-def next_ledger_path(out_dir: Path) -> Path:
-    """The first unused ``SERVICE_<n>.json`` path under ``out_dir``."""
-    out_dir = Path(out_dir)
-    taken = [int(m.group(1)) for p in out_dir.glob("SERVICE_*.json")
-             if (m := _LEDGER_RE.match(p.name))]
-    return out_dir / f"SERVICE_{max(taken, default=-1) + 1}.json"
-
-
-def write_ledger(result: ServiceSweepResult, out_dir: Path,
-                 index: int | None = None) -> Path:
-    """Persist the ledger (next free index, or a pinned one)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = (out_dir / f"SERVICE_{index}.json" if index is not None
-            else next_ledger_path(out_dir))
-    path.write_text(result.to_json() + "\n", encoding="utf-8")
-    return path
-
-
 def render(result: ServiceSweepResult) -> str:
     """Human-readable sweep summary."""
     s = result.stats
@@ -390,8 +368,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="SPMD ranks per worker group")
     parser.add_argument("--out", default="results/service",
                         help="directory for SERVICE_<n>.json")
-    parser.add_argument("--index", type=int, default=-1,
-                        help="pin the ledger index (-1: next free slot)")
+    parser.add_argument("--index", type=int, default=None,
+                        help="pin the ledger index (default: next free slot)")
     args = parser.parse_args(argv)
 
     cfg = ServiceConfig(workers=args.workers, group_size=args.group_size,
@@ -399,8 +377,8 @@ def main(argv: list[str] | None = None) -> int:
                         chaos_seed=args.seed)
     result = run_service_sweep(args.seed, args.requests,
                                chaos=not args.no_chaos, config=cfg)
-    path = write_ledger(result, Path(args.out),
-                        index=args.index if args.index >= 0 else None)
+    path = write_ledger(args.out, "SERVICE", result.to_json(),
+                        index=args.index)
     print(render(result))
     print(f"ledger written to {path}")
     return result.exit_code

@@ -9,23 +9,10 @@ is written as ``SOAK_<n>.json`` next to the checkpoints.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
+from repro.harness.ledger import write_ledger
 from repro.resilience.chaos import SoakReport, run_soak
-
-_REPORT_RE = re.compile(r"SOAK_(\d+)\.json$")
-
-
-def write_soak_report(report: SoakReport, out_dir: Path) -> Path:
-    """Persist the report as the next free ``SOAK_<n>.json``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    taken = [int(m.group(1)) for p in out_dir.glob("SOAK_*.json")
-             if (m := _REPORT_RE.match(p.name))]
-    path = out_dir / f"SOAK_{max(taken, default=-1) + 1}.json"
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
-    return path
 
 
 def render(report: SoakReport) -> str:
@@ -66,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
                       nranks=args.ranks,
                       checkpoint_root=out / "checkpoints")
     print(render(report))
-    path = write_soak_report(report, out)
+    path = write_ledger(out, "SOAK", report.to_json())
     print(f"report written to {path}")
     return report.exit_code
 

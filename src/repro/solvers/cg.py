@@ -65,6 +65,11 @@ def _rewind(snap: "Snapshot", alphas: list, betas: list, history: list):
             snap.scalars["pa"], history[-1])
 
 
+class _Rollback(Exception):
+    """An unhealthy guarded iteration, handed to ``cg_solve``'s one
+    rollback handler; the argument is the reason the guard logs."""
+
+
 def cg_solve(
     op: StencilOperator2D,
     b: Field,
@@ -113,8 +118,11 @@ def cg_solve(
         every ``guard.interval`` iterations, screen each residual norm
         for NaN/Inf and divergence, and roll back to the last checkpoint
         instead of raising when an iteration is unhealthy (bounded by the
-        guard's rollback budget).  With ``guard=None`` behaviour is
-        byte-identical to the unguarded solver.
+        guard's rollback budget).  Every trigger (``<p, Ap>``, residual
+        health, ABFT drift, non-finite ``beta``) takes the same rollback
+        path, which also clears the stagnation window.  With
+        ``guard=None`` behaviour is byte-identical to the unguarded
+        solver.
     abft_interval:
         When positive, every this many iterations the *true* residual
         ``b - A x`` is recomputed and its norm compared against the
@@ -186,6 +194,7 @@ def cg_solve(
     from repro.observe.trace import tracer_of
     tracer = tracer_of(op)
 
+    comm_events = getattr(op.comm, "events", None)
     w = op.new_field()
     alphas: list[float] = []
     betas: list[float] = []
@@ -261,118 +270,109 @@ def cg_solve(
                                             "pa": precond_applies,
                                             "steps": len(alphas),
                                             "reference": reference})
-            # Fused matvec + direction dot: same exchange/allreduce budget
-            # as the apply + dots pair, one streaming pass on fused
-            # backends.
-            pw = op.apply_dot(p, w)
-            if guard is not None and not (np.isfinite(pw) and pw > 0.0):
-                # Corrupted reduction or perturbed direction vector: restore
-                # the last checkpoint and replay (the fault stream has moved
-                # on, so the replayed iterations see clean communication).
-                with tracer.span("recover", solver_name):
-                    snap = guard.rollback(f"<p, Ap> = {pw:.3e}")
-                    iterations, rz, rr, precond_applies, res_norm = _rewind(
-                        snap, alphas, betas, history)
-                    breakdown.reset()
-                continue
-            # Curvature guard: finite *and* positive (an unguarded
-            # ``pw <= 0`` test is False for NaN, which used to let a
-            # poisoned reduction silently NaN the whole recurrence).
-            breakdown.curvature(pw, iterations)
-            alpha = rz / pw
-            op.kernels.axpy(x.interior, alpha, p.interior)
-            op.kernels.axpy(r.interior, -alpha, w.interior)
-            if identity:
-                (rz_new,) = op.dots([(r, r)])
-                rr = rz_new
-            else:
-                with tracer.span("precond", solver_name):
-                    M.apply(r, z)
-                precond_applies += 1
-                rz_new, rr = op.dots([(r, z), (r, r)])
-            beta = rz_new / rz
-            alphas.append(float(alpha))
-            betas.append(float(beta))
-            iterations += 1
-            res_norm = float(np.sqrt(rr))
-            history.append(res_norm)
-            if guard is not None and not guard.healthy(res_norm):
-                with tracer.span("recover", solver_name):
-                    snap = guard.rollback(f"residual norm {res_norm:.3e}")
-                    iterations, rz, rr, precond_applies, res_norm = _rewind(
-                        snap, alphas, betas, history)
-                    breakdown.reset()
-                continue
-            breakdown.residual(res_norm, iterations)
-            if abft_interval and iterations % abft_interval == 0:
-                # ABFT residual replay: recompute the *true* residual and
-                # check the recurrence hasn't silently drifted away from it
-                # (w is free scratch here; its next use overwrites it).
-                # Its extra halo exchange + reduction run under the
-                # recovery scope so contract counts stay first-attempt.
-                with tracer.span("recover", "abft_replay"), \
-                        recovery_scope(op.events,
-                                       getattr(op.comm, "events", None)):
-                    op.residual(b, x, out=w)
-                    (true_rr,) = op.dots([(w, w)])
-                true_norm = float(np.sqrt(true_rr))
-                if abs(true_norm - res_norm) > abft_tolerance * reference:
-                    reason = (f"ABFT replay: true residual {true_norm:.6e} "
-                              f"vs recurrence {res_norm:.6e} at iteration "
-                              f"{iterations}")
-                    if guard is not None:
-                        with tracer.span("recover", solver_name):
-                            snap = guard.rollback(reason)
-                            (iterations, rz, rr, precond_applies,
-                             res_norm) = _rewind(snap, alphas, betas,
-                                                 history)
-                        continue
-                    raise ConvergenceError(
-                        f"silent corruption detected — {reason}")
-            if replacer is not None and (replacer.due(iterations)
-                                         or res_norm <= threshold):
-                # Residual replacement (van der Vorst-Ye): recompute the
-                # true residual; when the recurrence has drifted past the
-                # rounding-error bound, splice it in and restart the
-                # search direction (beta = 0).  Also forced whenever the
-                # recurrence claims convergence, so the tolerance test
-                # below is always taken against a freshly verified
-                # residual (false convergence is the signature failure of
-                # a drifted recurrence).  Decisions come from
-                # globally-reduced scalars, so every rank takes the same
-                # branch; the extra exchange and reductions run under the
-                # replacement scope to keep first-attempt contract counts
-                # exact.
-                replacer.update_condition(alphas, betas)
-                with tracer.span("replace", solver_name), \
-                        replacement_scope(op.events,
-                                          getattr(op.comm, "events", None)):
-                    op.residual(b, x, out=w)
-                    (true_rr,) = op.dots([(w, w)])
+            try:
+                # Fused matvec + direction dot: same exchange/allreduce
+                # budget as the apply + dots pair, one streaming pass on
+                # fused backends.
+                pw = op.apply_dot(p, w)
+                if guard is not None and not (np.isfinite(pw) and pw > 0.0):
+                    # Corrupted reduction or perturbed direction vector.
+                    raise _Rollback(f"<p, Ap> = {pw:.3e}")
+                # Curvature guard: finite *and* positive (an unguarded
+                # ``pw <= 0`` test is False for NaN, which used to let a
+                # poisoned reduction silently NaN the whole recurrence).
+                breakdown.curvature(pw, iterations)
+                alpha = rz / pw
+                op.kernels.axpy(x.interior, alpha, p.interior)
+                op.kernels.axpy(r.interior, -alpha, w.interior)
+                if identity:
+                    (rz_new,) = op.dots([(r, r)])
+                    rr = rz_new
+                else:
+                    with tracer.span("precond", solver_name):
+                        M.apply(r, z)
+                    precond_applies += 1
+                    rz_new, rr = op.dots([(r, z), (r, r)])
+                beta = rz_new / rz
+                alphas.append(float(alpha))
+                betas.append(float(beta))
+                iterations += 1
+                res_norm = float(np.sqrt(rr))
+                history.append(res_norm)
+                if guard is not None and not guard.healthy(res_norm):
+                    raise _Rollback(f"residual norm {res_norm:.3e}")
+                breakdown.residual(res_norm, iterations)
+                if abft_interval and iterations % abft_interval == 0:
+                    # ABFT residual replay: recompute the *true* residual
+                    # and check the recurrence hasn't silently drifted
+                    # away from it (w is free scratch here; its next use
+                    # overwrites it).  Its extra halo exchange + reduction
+                    # run under the recovery scope so contract counts stay
+                    # first-attempt.
+                    with tracer.span("recover", "abft_replay"), \
+                            recovery_scope(op.events, comm_events):
+                        op.residual(b, x, out=w)
+                        (true_rr,) = op.dots([(w, w)])
                     true_norm = float(np.sqrt(true_rr))
-                    if replacer.observe(abs(true_norm - res_norm),
-                                        max(true_norm, res_norm),
-                                        iterations):
-                        r.interior[...] = w.interior
-                        if identity:
-                            rz_new = rr = true_rr
-                        else:
-                            M.apply(r, z)
-                            precond_applies += 1
-                            rz_new, rr = op.dots([(r, z), (r, r)])
-                        beta = 0.0
-                        res_norm = float(np.sqrt(rr))
-                        history[-1] = res_norm
-                        breakdown.reset()
-            if res_norm <= threshold:
-                converged = True
-                break
-            if guard is not None and not np.isfinite(beta):
-                # A corrupted (rz, rr) reduction poisons beta before it
-                # poisons the residual norm: roll back now rather than let
-                # NaNs propagate into p and surface one matvec later.
+                    if abs(true_norm - res_norm) > abft_tolerance * reference:
+                        reason = (f"ABFT replay: true residual "
+                                  f"{true_norm:.6e} vs recurrence "
+                                  f"{res_norm:.6e} at iteration {iterations}")
+                        if guard is None:
+                            raise ConvergenceError(
+                                f"silent corruption detected — {reason}")
+                        raise _Rollback(reason)
+                if replacer is not None and (replacer.due(iterations)
+                                             or res_norm <= threshold):
+                    # Residual replacement (van der Vorst-Ye): recompute
+                    # the true residual; when the recurrence has drifted
+                    # past the rounding-error bound, splice it in and
+                    # restart the search direction (beta = 0).  Also
+                    # forced whenever the recurrence claims convergence,
+                    # so the tolerance test below is always taken against
+                    # a freshly verified residual (false convergence is
+                    # the signature failure of a drifted recurrence).
+                    # Decisions come from globally-reduced scalars, so
+                    # every rank takes the same branch; the extra exchange
+                    # and reductions run under the replacement scope to
+                    # keep first-attempt contract counts exact.
+                    replacer.update_condition(alphas, betas)
+                    with tracer.span("replace", solver_name), \
+                            replacement_scope(op.events, comm_events):
+                        op.residual(b, x, out=w)
+                        (true_rr,) = op.dots([(w, w)])
+                        true_norm = float(np.sqrt(true_rr))
+                        if replacer.observe(abs(true_norm - res_norm),
+                                            max(true_norm, res_norm),
+                                            iterations):
+                            r.interior[...] = w.interior
+                            if identity:
+                                rz_new = rr = true_rr
+                            else:
+                                M.apply(r, z)
+                                precond_applies += 1
+                                rz_new, rr = op.dots([(r, z), (r, r)])
+                            beta = 0.0
+                            res_norm = float(np.sqrt(rr))
+                            history[-1] = res_norm
+                            breakdown.reset()
+                if res_norm <= threshold:
+                    converged = True
+                    break
+                if guard is not None and not np.isfinite(beta):
+                    # A corrupted (rz, rr) reduction poisons beta before it
+                    # poisons the residual norm: roll back now rather than
+                    # let NaNs propagate into p and surface one matvec
+                    # later.
+                    raise _Rollback(f"beta = {beta!r}")
+            except _Rollback as unhealthy:
+                # The one rollback path, whatever the trigger: restore the
+                # last checkpoint and replay (the fault stream has moved
+                # on, so the replayed iterations see clean communication).
+                # The stagnation window is cleared too: the norms it holds
+                # belong to the abandoned timeline.
                 with tracer.span("recover", solver_name):
-                    snap = guard.rollback(f"beta = {beta!r}")
+                    snap = guard.rollback(unhealthy.args[0])
                     iterations, rz, rr, precond_applies, res_norm = _rewind(
                         snap, alphas, betas, history)
                     breakdown.reset()

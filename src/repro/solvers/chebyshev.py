@@ -314,6 +314,16 @@ def chebyshev_solve(
     converged = False
     degraded = False
     steps_offset = 0  # recurrence steps retired by abandoned deep runs
+
+    def checkpoint():
+        """Snapshot the live recurrence for the guard to roll back to."""
+        with tracer.span("checkpoint", "chebyshev"):
+            guard.save(steps_offset + it.steps_done,
+                       fields={"x": x, "rr": rr, "d": it.d},
+                       scalars={"rho": it.rho, "steps": it.steps_done,
+                                "since": it._since_exchange,
+                                "hist": len(history)})
+
     while steps_offset + it.steps_done < max_iters:
         # Cancellation boundary: between residual checks, right after the
         # previous chunk's convergence allreduce synchronised every rank,
@@ -324,13 +334,7 @@ def chebyshev_solve(
         if guard is not None:
             guard.begin(steps_offset + it.steps_done)
             if guard.due(steps_offset + it.steps_done):
-                with tracer.span("checkpoint", "chebyshev"):
-                    guard.save(steps_offset + it.steps_done,
-                               fields={"x": x, "rr": rr, "d": it.d},
-                               scalars={"rho": it.rho,
-                                        "steps": it.steps_done,
-                                        "since": it._since_exchange,
-                                        "hist": len(history)})
+                checkpoint()
         try:
             it.run(min(check_interval,
                        max_iters - steps_offset - it.steps_done))
@@ -349,13 +353,7 @@ def chebyshev_solve(
             if guard is not None:
                 # Re-anchor the checkpoint on the new recurrence state:
                 # the previous snapshot referenced the abandoned one.
-                with tracer.span("checkpoint", "chebyshev"):
-                    guard.save(steps_offset + it.steps_done,
-                               fields={"x": x, "rr": rr, "d": it.d},
-                               scalars={"rho": it.rho,
-                                        "steps": it.steps_done,
-                                        "since": it._since_exchange,
-                                        "hist": len(history)})
+                checkpoint()
             continue
         res_norm = float(np.sqrt(op.dot(rr, rr)))
         history.append(res_norm)

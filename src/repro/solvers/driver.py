@@ -122,6 +122,14 @@ def _dispatch(op, b, x0, opt, guard, cancel=None, setup=None,
         raise ConfigurationError(
             f"exact mid-solve resume is only supported for the plain "
             f"'cg' solver, not {opt.solver!r}")
+    # The defences the guarded Krylov solvers (cg, ppcg) run under; the
+    # other solvers take the subset they support.
+    defences = dict(guard=guard, abft_interval=opt.abft_interval,
+                    abft_tolerance=opt.abft_tolerance,
+                    replace_interval=opt.replace_interval,
+                    replace_adaptive=opt.replace_adaptive,
+                    replace_tolerance=opt.replace_tolerance,
+                    stagnation_window=opt.stagnation_window, cancel=cancel)
     if opt.solver == "jacobi":
         return jacobi_solve(op, b, x0, eps=opt.eps, max_iters=opt.max_iters,
                             stagnation_window=opt.stagnation_window,
@@ -131,13 +139,7 @@ def _dispatch(op, b, x0, opt, guard, cancel=None, setup=None,
             else make_local_preconditioner(op, opt.preconditioner)
         return cg_solve(op, b, x0, eps=opt.eps, max_iters=opt.max_iters,
                         preconditioner=M, raise_on_stall=opt.raise_on_stall,
-                        guard=guard, abft_interval=opt.abft_interval,
-                        abft_tolerance=opt.abft_tolerance,
-                        replace_interval=opt.replace_interval,
-                        replace_adaptive=opt.replace_adaptive,
-                        replace_tolerance=opt.replace_tolerance,
-                        stagnation_window=opt.stagnation_window,
-                        cancel=cancel, resume_state=resume_state)
+                        resume_state=resume_state, **defences)
     if opt.solver == "cg_fused":
         from repro.solvers.cg_fused import cg_fused_solve
         M = prebuilt if prebuilt is not None \
@@ -176,16 +178,9 @@ def _dispatch(op, b, x0, opt, guard, cancel=None, setup=None,
             inner_preconditioner=opt.preconditioner,
             adaptive=opt.adaptive,
             raise_on_stall=opt.raise_on_stall,
-            guard=guard,
             degrade=opt.degrade,
-            abft_interval=opt.abft_interval,
-            abft_tolerance=opt.abft_tolerance,
-            replace_interval=opt.replace_interval,
-            replace_adaptive=opt.replace_adaptive,
-            replace_tolerance=opt.replace_tolerance,
-            stagnation_window=opt.stagnation_window,
             bounds=bounds,
-            cancel=cancel,
+            **defences,
         )
     if opt.solver == "mgcg":
         # Imported lazily: multigrid builds on this package.  Serial runs

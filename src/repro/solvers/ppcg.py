@@ -21,6 +21,7 @@ matrix powers kernel: one ``n``-deep halo exchange per ``n`` inner steps.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,7 +126,7 @@ def ppcg_solve(
     guard:
         Optional :class:`~repro.resilience.guard.SolverGuard`, threaded
         through to every inner ``cg_solve`` phase (warm-up, outer,
-        re-warm-up) for checkpoint/rollback recovery.
+        re-warm-up, fallback) for checkpoint/rollback recovery.
     abft_interval, abft_tolerance:
         Periodic ABFT residual-replay check threaded through to every
         ``cg_solve`` phase (see :func:`~repro.solvers.cg.cg_solve`) —
@@ -140,8 +141,8 @@ def ppcg_solve(
         lets depth-16 CPPCG converge to the same *true*-residual tolerance
         as depth-1.
     stagnation_window:
-        Breakdown-guard stagnation window threaded to every CG phase
-        (0 disables).
+        Breakdown-guard stagnation window for the outer phase and the
+        plain-CG fallback (0 disables).
     degrade:
         Graceful degradation: fall back to *plain CG* when the Chebyshev
         preconditioner is unusable (invalid/non-finite spectrum bounds,
@@ -166,11 +167,27 @@ def ppcg_solve(
     local_M = make_local_preconditioner(op, inner_preconditioner)
     from repro.observe.trace import tracer_of
     tracer = tracer_of(op)
-    with tracer.span("phase", "warmup"):
-        warmup = cg_solve(op, b, x0, eps=eps, max_iters=warmup_iters,
-                          preconditioner=local_M, solver_name="ppcg",
-                          guard=guard, abft_interval=abft_interval,
-                          abft_tolerance=abft_tolerance, cancel=cancel)
+    # Every phase runs under the guard, the ABFT replay and the cancel
+    # token.  Residual replacement and the stagnation window are repairs
+    # for the long outer phase and the plain-CG fallback only: the
+    # warm-ups record alpha/beta for the Lanczos tridiagonal the spectrum
+    # bounds come from, and a replacement splice restarts the search
+    # direction, after which those coefficients no longer form it.
+    cg = partial(cg_solve, op, b, eps=eps, solver_name="ppcg", guard=guard,
+                 abft_interval=abft_interval, abft_tolerance=abft_tolerance,
+                 cancel=cancel)
+    repaired = partial(cg, replace_interval=replace_interval,
+                       replace_adaptive=replace_adaptive,
+                       replace_tolerance=replace_tolerance,
+                       stagnation_window=stagnation_window)
+
+    def warm_up(phase, x, reference_norm=None):
+        """Warm-up CG on ``M^-1 A``, the operator the inner steps apply."""
+        with tracer.span("phase", phase):
+            return cg(x, max_iters=warmup_iters, preconditioner=local_M,
+                      reference_norm=reference_norm)
+
+    warmup = warm_up("warmup", x0)
     if warmup.converged:
         warmup.warmup_iterations = warmup.iterations
         warmup.iterations = 0
@@ -211,22 +228,9 @@ def ppcg_solve(
         breakdown: ConvergenceError | None = None
         try:
             with tracer.span("phase", "outer"):
-                outer = cg_solve(
-                    op, b, current_x,
-                    eps=eps,
-                    max_iters=chunk,
-                    preconditioner=cheby,
-                    reference_norm=reference,
-                    solver_name="ppcg",
-                    guard=guard,
-                    abft_interval=abft_interval,
-                    abft_tolerance=abft_tolerance,
-                    replace_interval=replace_interval,
-                    replace_adaptive=replace_adaptive,
-                    replace_tolerance=replace_tolerance,
-                    stagnation_window=stagnation_window,
-                    cancel=cancel,
-                )
+                outer = repaired(current_x, max_iters=chunk,
+                                 preconditioner=cheby,
+                                 reference_norm=reference)
         except CommunicationError:
             if degrade and depth > 1:
                 # The deep exchanges of the matrix powers kernel keep
@@ -265,12 +269,7 @@ def ppcg_solve(
         # Restart: widen the interval and re-estimate from where we are.
         restarts += 1
         safety = (safety[0] * 0.85, safety[1] * 1.25)
-        with tracer.span("phase", "rewarm"):
-            rewarm = cg_solve(op, b, current_x, eps=eps,
-                              max_iters=warmup_iters,
-                              reference_norm=reference, solver_name="ppcg",
-                              guard=guard, abft_interval=abft_interval,
-                              abft_tolerance=abft_tolerance, cancel=cancel)
+        rewarm = warm_up("rewarm", current_x, reference)
         extra_warmup += rewarm.iterations
         history_prefix += rewarm.history[1:]
         current_x = rewarm.x
@@ -290,16 +289,8 @@ def ppcg_solve(
         # but immune to bad spectrum bounds (the stopping criterion is
         # unchanged: same eps against the same reference norm).
         with tracer.span("phase", "fallback_cg"):
-            outer = cg_solve(op, b, current_x, eps=eps,
-                             max_iters=max(budget, 1),
-                             reference_norm=reference, solver_name="ppcg",
-                             guard=guard, abft_interval=abft_interval,
-                             abft_tolerance=abft_tolerance,
-                             replace_interval=replace_interval,
-                             replace_adaptive=replace_adaptive,
-                             replace_tolerance=replace_tolerance,
-                             stagnation_window=stagnation_window,
-                             cancel=cancel)
+            outer = repaired(current_x, max_iters=max(budget, 1),
+                             reference_norm=reference)
         history_prefix += outer.history[1:]
         current_x = outer.x
 

@@ -308,10 +308,12 @@ def _copy_real_solver(tmp_path: Path, inject: bool) -> Path:
     (d / "operator.py").write_text((SRC / "solvers/operator.py").read_text())
     src = (SRC / "solvers/cg.py").read_text()
     if inject:
-        marker = "            pw = op.apply_dot(p, w)"
-        assert marker in src
+        # Inject right after the loop's matvec, at the matvec's own indent.
+        marker = next(line for line in src.splitlines()
+                      if line.strip() == "pw = op.apply_dot(p, w)")
+        indent = marker[:len(marker) - len(marker.lstrip())]
         src = src.replace(
-            marker, marker + "\n            op.comm.allreduce(0.0)")
+            marker, marker + "\n" + indent + "op.comm.allreduce(0.0)")
     (d / "cg.py").write_text(src)
     return d
 

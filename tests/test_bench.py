@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.harness import bench
+from repro.harness.ledger import next_ledger_path, write_ledger
 from repro.kernels import available_backends
 
 #: Tiny configuration: every backend, one small grid, pinned short solves.
@@ -79,13 +80,14 @@ class TestDeterminism:
 
 class TestLedgerFiles:
     def test_next_ledger_path_scans_free_slot(self, tmp_path):
-        assert bench.next_ledger_path(tmp_path).name == "BENCH_0.json"
+        assert next_ledger_path(tmp_path, "BENCH").name == "BENCH_0.json"
         (tmp_path / "BENCH_0.json").write_text("{}")
         (tmp_path / "BENCH_7.json").write_text("{}")
-        assert bench.next_ledger_path(tmp_path).name == "BENCH_8.json"
+        assert next_ledger_path(tmp_path, "BENCH").name == "BENCH_8.json"
 
     def test_write_ledger_pins_explicit_index(self, tmp_path, ledgers):
-        path = bench.write_ledger(ledgers[0], tmp_path, index=8)
+        path = write_ledger(tmp_path, "BENCH", bench.to_json(ledgers[0]),
+                            index=8)
         assert path.name == "BENCH_8.json"
         assert json.loads(path.read_text())["schema"] == "repro.bench/v1"
 

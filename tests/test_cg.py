@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.mesh import Field, Grid2D
+from repro.numerics.breakdown import BreakdownError
+from repro.observe import Tracer
+from repro.resilience import SolverGuard
 from repro.solvers import (
     DiagonalPreconditioner,
     StencilOperator2D,
     cg_solve,
 )
+from repro.solvers.preconditioners import Preconditioner
 from repro.utils import ConvergenceError
 
 from tests.helpers import (
@@ -175,3 +179,120 @@ class TestCommunicationPattern:
         result = cg_solve(op, b, eps=1e-10)
         # serial: exchange events still recorded (no-ops on the wire)
         assert op.events.count("halo_exchange", 1) == result.iterations + 1
+
+
+class Sabotage(Preconditioner):
+    """``z = r``, except that application number ``at`` breaks one thing.
+
+    ``"zero_z"`` zeroes ``z`` (beta becomes 0, so the next direction is 0
+    and ``<p, Ap> = 0``), ``"nan_z"`` poisons ``<r, z>`` and so ``beta``,
+    and ``"nan_r"`` poisons the live residual and so its norm.  It fires
+    once: a replay after a rollback runs clean.
+    """
+
+    def __init__(self, action="", at=-1):
+        self.action, self.at, self.applications = action, at, 0
+
+    def apply(self, r, z):
+        z.interior[...] = r.interior
+        if self.applications == self.at:
+            if self.action == "zero_z":
+                z.interior[...] = 0.0
+            elif self.action == "nan_z":
+                z.interior[...] = np.nan
+            elif self.action == "nan_r":
+                r.interior[...] = np.nan
+        self.applications += 1
+
+
+class ScaleBOnce:
+    """Cancel-token stand-in that scales ``b`` by 1.5 at the first
+    ``check(at)`` and restores it at the next check.  The CG recurrence
+    never reads ``b``, so only the ABFT replay (the true residual
+    ``b - A x``) sees it."""
+
+    def __init__(self, b, at):
+        self.b, self.at, self.saved = b, at, None
+
+    def check(self, iteration):
+        if self.saved is not None:
+            self.b.data[...] = self.saved
+            self.saved = None
+        elif iteration == self.at:
+            self.saved, self.at = self.b.data.copy(), None
+            self.b.data *= 1.5
+
+
+def _abft_system():
+    g, kx, ky, bg = crooked_pipe_system(24)
+    op = serial_operator(g, kx, ky)
+    return op, Field.from_global(op.tile, 1, bg)
+
+
+#: trigger -> (preconditioner action or "abft", guard.log reason prefix,
+#: the error the unguarded solve raises, its quantity / message)
+TRIGGERS = {
+    "pAp": ("zero_z", "<p, Ap> = ", BreakdownError, "pAp"),
+    "residual": ("nan_r", "residual norm ", BreakdownError, "residual_norm"),
+    "abft": ("abft", "ABFT replay: ", ConvergenceError,
+             "silent corruption detected"),
+    "beta": ("nan_z", "beta = ", BreakdownError, "beta"),
+}
+
+
+class TestRollbackTriggers:
+    """Every guard rollback in ``cg_solve`` takes the one rollback path."""
+
+    @staticmethod
+    def _solve(action, guard, **kw):
+        op, b = _abft_system()
+        tracer = Tracer()
+        op.tracer = tracer
+        if action == "abft":
+            kw.update(abft_interval=10, cancel=ScaleBOnce(b, 9))
+        else:
+            kw.update(preconditioner=Sabotage(action, at=12))
+        result = cg_solve(op, b, eps=1e-10, guard=guard, **kw)
+        return result, tracer
+
+    @pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+    def test_guarded_rollback(self, trigger):
+        action, prefix, _, _ = TRIGGERS[trigger]
+        clean, _ = self._solve("", SolverGuard(checkpoint_interval=5),
+                               abft_interval=10 if action == "abft" else 0)
+        guard = SolverGuard(checkpoint_interval=5)
+        result, tracer = self._solve(action, guard)
+        rollbacks = [e for e in guard.log if e.action == "rollback"]
+        assert len(rollbacks) == 1
+        assert rollbacks[0].detail.split(" — ", 1)[1].startswith(prefix)
+        spans = {s.span_id: s for s in tracer.finished()}
+        recovers = [s for s in spans.values()
+                    if s.name == "recover" and s.key == "cg"]
+        assert len(recovers) == 1
+        assert spans[recovers[0].parent_id].name == "iteration"
+        # The replay from the checkpoint is clean, so the rewound history
+        # is exactly the unperturbed solve's.
+        assert result.converged
+        assert result.history == clean.history
+        assert len(result.history) == result.iterations + 1
+
+    @pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+    def test_unguarded_error(self, trigger):
+        action, _, error, detail = TRIGGERS[trigger]
+        with pytest.raises(error) as info:
+            self._solve(action, None)
+        if error is BreakdownError:
+            assert info.value.quantity == detail
+        else:
+            assert detail in str(info.value)
+
+    def test_abft_rollback_clears_stagnation_window(self):
+        """Regression: the ABFT rollback used to keep the stagnation
+        window, so the replayed norm was compared with its own stale copy
+        from before the rollback and raised a false stagnation."""
+        unwindowed, _ = self._solve("abft", SolverGuard(checkpoint_interval=5))
+        guard = SolverGuard(checkpoint_interval=5)
+        result, _ = self._solve("abft", guard, stagnation_window=5)
+        assert result.converged
+        assert result.iterations == unwindowed.iterations
+        assert guard.rollbacks == 1

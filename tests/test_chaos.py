@@ -215,12 +215,12 @@ class TestSoak:
 
 class TestHarnessAndMetrics:
     def test_ledger_writer_scans_next_index(self, tmp_path):
-        from repro.harness.chaos_sweep import next_ledger_path, write_ledger
+        from repro.harness.ledger import next_ledger_path, write_ledger
         result = run_campaign(trials=5, workdir=tmp_path / "wk")
-        assert next_ledger_path(tmp_path).name == "CHAOS_0.json"
-        first = write_ledger(result, tmp_path)
+        assert next_ledger_path(tmp_path, "CHAOS").name == "CHAOS_0.json"
+        first = write_ledger(tmp_path, "CHAOS", result.to_json())
         assert first.name == "CHAOS_0.json"
-        second = write_ledger(result, tmp_path)
+        second = write_ledger(tmp_path, "CHAOS", result.to_json())
         assert second.name == "CHAOS_1.json"
         assert json.loads(first.read_text())["schema"] == "repro.chaos/v1"
 

@@ -12,6 +12,7 @@ from repro.solvers import (
 from repro.utils import ConfigurationError, EventLog
 
 from tests.helpers import (
+    crooked_pipe_jump_system,
     crooked_pipe_system,
     random_spd_faces,
     reference_solution,
@@ -152,6 +153,25 @@ class TestCommunicationAvoidance:
         # one preconditioner application per outer iteration, plus the
         # initial application before the loop
         assert result.inner_iterations == 7 * (result.iterations + 1)
+
+
+class TestAdaptiveRestart:
+    def test_rewarm_estimates_the_preconditioned_operator(self):
+        """Regression: the re-warm-up after an adaptive restart ran
+        without the inner preconditioner, so CPPCG re-estimated the
+        spectrum of A (lam_max ~ 68 here) instead of D^-1 A (lam_max
+        ~ 2.5), the operator its diagonal-preconditioned Chebyshev
+        steps apply."""
+        g, kx, ky, bg = crooked_pipe_jump_system(24, 1e4)
+        op = serial_operator(g, kx, ky)
+        b = Field.from_global(op.tile, 1, bg)
+        result = ppcg_solve(op, b, bounds=EigenBounds(0.5, 0.6),
+                            adaptive=True, inner_steps=6,
+                            inner_preconditioner="diagonal")
+        assert result.restarts == 1
+        assert result.converged
+        lam_min, lam_max = result.eigen_bounds
+        assert 0.0 < lam_min < lam_max < 3.0
 
 
 class TestValidation:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import service_soak
+from repro.harness.ledger import next_ledger_path, write_ledger
 from repro.service import STATUSES
 
 
@@ -93,11 +94,12 @@ class TestLedgerIO:
         result = service_soak.ServiceSoakResult(
             seed=1, kill_seed=2, requests=3, config={})
         result.oracle = {"checked": 0, "skipped": 0, "violations": 0}
-        path = service_soak.write_ledger(result, tmp_path)
+        path = write_ledger(tmp_path, "SOAK_SERVICE", result.to_json())
         assert path.name == "SOAK_SERVICE_0.json"
-        assert service_soak.next_ledger_path(tmp_path).name == \
+        assert next_ledger_path(tmp_path, "SOAK_SERVICE").name == \
             "SOAK_SERVICE_1.json"
-        pinned = service_soak.write_ledger(result, tmp_path, index=10)
+        pinned = write_ledger(tmp_path, "SOAK_SERVICE", result.to_json(),
+                              index=10)
         assert pinned.name == "SOAK_SERVICE_10.json"
         data = json.loads(pinned.read_text())
         assert data["schema"] == service_soak.SCHEMA

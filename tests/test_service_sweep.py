@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.harness import service_sweep
+from repro.harness.ledger import next_ledger_path, write_ledger
 from repro.service import STATUSES
 
 pytestmark = pytest.mark.slow
@@ -73,16 +74,16 @@ class TestClassification:
 
 class TestLedgerIO:
     def test_schema_and_naming(self, result, tmp_path):
-        path = service_sweep.write_ledger(result, tmp_path)
+        path = write_ledger(tmp_path, "SERVICE", result.to_json())
         assert path.name == "SERVICE_0.json"
         data = json.loads(path.read_text())
         assert data["schema"] == "repro.service/v1"
         assert len(data["outcomes"]) == COUNT
-        next_path = service_sweep.next_ledger_path(tmp_path)
+        next_path = next_ledger_path(tmp_path, "SERVICE")
         assert next_path.name == "SERVICE_1.json"
 
     def test_pinned_index(self, result, tmp_path):
-        path = service_sweep.write_ledger(result, tmp_path, index=9)
+        path = write_ledger(tmp_path, "SERVICE", result.to_json(), index=9)
         assert path.name == "SERVICE_9.json"
 
     def test_render_summarises(self, result):
