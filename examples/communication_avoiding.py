@@ -21,7 +21,7 @@ import numpy as np
 from repro import Grid2D, SolverOptions, crooked_pipe
 from repro.comm import InstrumentedComm, SerialComm, launch_spmd
 from repro.mesh import Field, decompose
-from repro.physics import cell_conductivity, face_coefficients, global_initial_state
+from repro.physics import build_system
 from repro.solvers import (
     EigenBounds,
     StencilOperator2D,
@@ -34,11 +34,7 @@ from repro.utils import EventLog
 
 
 def build(n, dt=0.04):
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    kx, ky = face_coefficients(kappa, dt / grid.dx ** 2, dt / grid.dy ** 2)
-    return grid, kx, ky, u0
+    return build_system(Grid2D(n, n), crooked_pipe(), dt)
 
 
 def instrumented_op(grid, kx, ky, halo=1):

@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.comm import launch_spmd
 from repro.mesh import Field, decompose
-from repro.physics import crooked_pipe
+from repro.physics import crooked_pipe, deck_system
+from repro.physics.deck import crooked_pipe_deck
 from repro.mesh.grid import Grid2D
 from repro.physics.simulation import Simulation
 from repro.resilience import (
@@ -32,6 +33,8 @@ from repro.resilience import (
 from repro.solvers import SolverOptions, StencilOperator2D, solve_linear
 from repro.utils.errors import ConvergenceError
 
+PIPE_24 = deck_system(crooked_pipe_deck(24))
+
 
 def demo_transient_faults():
     print("1) CG through 2% transient faults + corrupted reductions")
@@ -42,9 +45,9 @@ def demo_transient_faults():
     ))
     options = SolverOptions(solver="cg", eps=1e-10, max_iters=600,
                             guard_interval=5)
-    clean = run_resilient(options, FaultPlan.disabled(), n=24)
-    faulty = run_resilient(options, plan, n=24)
-    rerun = run_resilient(options, plan, n=24)
+    clean = run_resilient(options, FaultPlan.disabled(), PIPE_24)
+    faulty = run_resilient(options, plan, PIPE_24)
+    rerun = run_resilient(options, plan, PIPE_24)
     print(f"   fault-free: {clean.summary()}")
     print(f"   injected  : {faulty.summary()}")
     for ev in faulty.fault_events:
@@ -78,7 +81,7 @@ def demo_crash_window():
     plan = FaultPlan(seed=3, crashes=(CrashWindow(rank=1, start=40, length=3),))
     options = SolverOptions(solver="cg", eps=1e-10, max_iters=600,
                             guard_interval=5)
-    report = run_resilient(options, plan, n=24, size=4)
+    report = run_resilient(options, plan, PIPE_24, size=4)
     crashed = [ev for ev in report.fault_events if ev.rule == -1]
     print(f"   {report.summary()}")
     print(f"   crash events (all on rank 1): "

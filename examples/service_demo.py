@@ -55,13 +55,11 @@ def demo_front_end():
         # first solves run, so the last submission is always shed.
         with SolveService(workers=2, quota_rate=1e-3,
                           quota_burst=5.0) as svc:
-            jobs = [svc.submit(CG_DECK, tenant="acme", n=12)
-                    for _ in range(3)]
-            jobs.append(svc.submit(CG_DECK, tenant="acme", n=12,
-                                   deadline_s=1e-4))
+            jobs = [svc.submit(CG_DECK, tenant="acme") for _ in range(3)]
+            jobs.append(svc.submit(CG_DECK, tenant="acme", deadline_s=1e-4))
             jobs.append(svc.submit("*tea\nbogus=1\n*endtea\n",
                                    tenant="acme"))
-            jobs.append(svc.submit(CG_DECK, tenant="acme", n=12))
+            jobs.append(svc.submit(CG_DECK, tenant="acme"))
             return await asyncio.gather(*jobs)
 
     outcomes = asyncio.run(scenario())
@@ -101,7 +99,7 @@ def demo_deterministic_engine():
         deck = PPCG_DECK if i % 3 == 0 else CG_DECK
         requests.append(SolveRequest(
             request_id=f"req-{i:03d}", tenant=("acme", "beta")[i % 2],
-            arrival_s=i * 4e-4, deck_text=deck, n=12,
+            arrival_s=i * 4e-4, deck_text=deck,
             deadline_s=2e-4 if i % 11 == 5 else None,
             cancel_after_s=1e-4 if i % 13 == 7 else None,
             chaos_trial=i if i % 5 == 0 else -1, max_attempts=3))
@@ -121,7 +119,7 @@ def demo_deterministic_engine():
 def demo_degradation():
     print("4) overload degradation: deep CPPCG ladders down under pressure")
     requests = [SolveRequest(request_id=f"req-{i:03d}", tenant="acme",
-                             arrival_s=i * 1e-6, deck_text=PPCG_DECK, n=12,
+                             arrival_s=i * 1e-6, deck_text=PPCG_DECK,
                              max_attempts=2)
                 for i in range(6)]
     engine = ServiceEngine(ServiceConfig(
@@ -144,7 +142,7 @@ def demo_crash_recovery():
         # many requests the run was given.
         return [SolveRequest(
             request_id=f"req-{i:03d}", tenant="acme",
-            arrival_s=i * 0.5, deck_text=CG_DECK, n=12,
+            arrival_s=i * 0.5, deck_text=CG_DECK,
             idempotency_key="golden" if i in (1, 5) else "",
             max_attempts=2) for i in range(6)]
 

@@ -13,18 +13,14 @@ from repro import Grid2D, SolverOptions, crooked_pipe
 from repro.comm import InstrumentedComm, SerialComm
 from repro.io import format_table
 from repro.mesh import Field, decompose
-from repro.physics import cell_conductivity, face_coefficients, global_initial_state
+from repro.physics import build_system
 from repro.solvers import StencilOperator2D, solve_linear
 from repro.utils import EventLog
 
 
 def crooked_pipe_system(n: int, dt: float = 0.04):
     """Global arrays of the crooked-pipe first implicit step."""
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    kxg, kyg = face_coefficients(kappa, dt / grid.dx ** 2, dt / grid.dy ** 2)
-    return grid, kxg, kyg, u0
+    return build_system(Grid2D(n, n), crooked_pipe(), dt)
 
 CASES = [
     ("Jacobi", SolverOptions(solver="jacobi", eps=1e-8, max_iters=500_000)),

@@ -285,16 +285,16 @@ def _measure(spec: VerifySpec, n: int,
     """
     from repro.comm import EventWindow, InstrumentedComm, SerialComm
     from repro.mesh import Field, decompose
+    from repro.physics.deck import crooked_pipe_deck, deck_system
     from repro.solvers import StencilOperator2D
     from repro.solvers.eigen import EigenBounds
-    from repro.testing import crooked_pipe_system
     from repro.utils import EventLog
 
     if sanitize:
         resilience = True
         integrity = True
 
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
+    grid, kxg, kyg, bg = deck_system(crooked_pipe_deck(n))
     bounds = EigenBounds(1.0, _gershgorin_lam_max(kxg, kyg))
 
     def one_run(max_iters: int) -> tuple[int, int, int]:

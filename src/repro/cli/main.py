@@ -7,39 +7,32 @@ import sys
 from pathlib import Path
 
 
+def _deck_options(deck, **flags):
+    """The deck's :class:`SolverOptions` with each flag the user gave on
+    top; a flag left at its empty default keeps the deck's value."""
+    from dataclasses import replace
+
+    from repro.physics.deck import deck_solver_options
+    return replace(deck_solver_options(deck),
+                   **{k: v for k, v in flags.items() if v})
+
+
 def _cmd_tealeaf(args) -> int:
     from repro.io.ascii_viz import render_heatmap
     from repro.physics.deck import deck_to_problem, parse_deck
     from repro.physics.simulation import run_simulation
-    from repro.solvers.options import SolverOptions
 
     deck = parse_deck(args.deck)
-    checkpoint_dir = args.checkpoint_dir or deck.tl_checkpoint_dir
-    checkpoint_interval = args.checkpoint_interval or deck.tl_checkpoint_interval
-    if checkpoint_interval and not checkpoint_dir:
+    # The checkpoint flags override the deck before its options are
+    # validated: a deck may set an interval whose directory the CLI gives.
+    deck.tl_checkpoint_dir = args.checkpoint_dir or deck.tl_checkpoint_dir
+    deck.tl_checkpoint_interval = (args.checkpoint_interval
+                                   or deck.tl_checkpoint_interval)
+    if deck.tl_checkpoint_interval and not deck.tl_checkpoint_dir:
         print("error: --checkpoint-interval needs --checkpoint-dir "
               "(or tl_checkpoint_dir in the deck)", file=sys.stderr)
         return 2
-    options = SolverOptions(
-        solver=deck.solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        preconditioner=deck.tl_preconditioner_type,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-        halo_depth=deck.tl_ppcg_halo_depth,
-        eigen_warmup_iters=deck.tl_eigen_warmup_iters,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_dir=str(checkpoint_dir),
-        recovery=deck.tl_enable_recovery,
-        integrity=deck.tl_enable_checksums,
-        abft_interval=deck.tl_abft_interval,
-        dtype=deck.tl_working_dtype,
-        refine=deck.tl_enable_refinement,
-        replace_interval=deck.tl_replace_interval,
-        true_residual=deck.tl_check_true_residual,
-        kernel_backend=deck.tl_kernel_backend,
-        comm_timeout=args.comm_timeout or deck.tl_comm_timeout,
-    )
+    options = _deck_options(deck, comm_timeout=args.comm_timeout)
     n_steps = args.steps if args.steps else deck.n_steps
     report = run_simulation(
         deck.grid, deck_to_problem(deck), options,
@@ -101,37 +94,18 @@ def _cmd_restart(args) -> int:
 
 def _cmd_solve(args) -> int:
     """One-shot linear solve of a deck's first implicit step."""
-    import numpy as np
-
     from repro.comm import InstrumentedComm, launch_spmd
     from repro.mesh import Field, decompose
-    from repro.physics import cell_conductivity, face_coefficients
-    from repro.physics.deck import deck_to_problem, parse_deck
-    from repro.physics.state import global_initial_state
-    from repro.solvers import StencilOperator2D, SolverOptions, solve_linear
+    from repro.physics.deck import deck_system, parse_deck
+    from repro.solvers import StencilOperator2D, solve_linear
     from repro.utils import EventLog
 
     deck = parse_deck(args.deck)
-    options = SolverOptions(
-        solver=args.solver or deck.solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        preconditioner=deck.tl_preconditioner_type,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-        halo_depth=args.halo_depth or deck.tl_ppcg_halo_depth,
-        dtype=args.dtype or deck.tl_working_dtype,
-        refine=deck.tl_enable_refinement,
-        replace_interval=deck.tl_replace_interval,
-        true_residual=args.true_residual or deck.tl_check_true_residual,
-        kernel_backend=args.kernel_backend or deck.tl_kernel_backend,
-        comm_timeout=args.comm_timeout or deck.tl_comm_timeout,
-    )
-    grid = deck.grid
-    density, _, u0 = global_initial_state(grid, deck_to_problem(deck))
-    kappa = cell_conductivity(density, deck.tl_coefficient)
-    rx = deck.initial_timestep / grid.dx ** 2
-    ry = deck.initial_timestep / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
+    options = _deck_options(
+        deck, solver=args.solver, halo_depth=args.halo_depth,
+        dtype=args.dtype, true_residual=args.true_residual,
+        kernel_backend=args.kernel_backend, comm_timeout=args.comm_timeout)
+    grid, kxg, kyg, u0 = deck_system(deck)
 
     def rank_main(comm):
         log = EventLog()
@@ -158,30 +132,18 @@ def _cmd_solve(args) -> int:
 def _cmd_trace(args) -> int:
     """Traced one-shot solve: JSONL + Chrome trace + text summaries."""
     from repro.observe import (
-        deck_system,
         metrics_table,
         summary_table,
         traced_solve,
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.physics.deck import parse_deck
-    from repro.solvers import SolverOptions
+    from repro.physics.deck import deck_system, parse_deck
 
     deck = parse_deck(args.deck)
-    solver = args.solver or deck.solver
     # Accept the paper's name for the Chebyshev-preconditioned solver.
-    if solver == "cppcg":
-        solver = "ppcg"
-    options = SolverOptions(
-        solver=solver,
-        eps=deck.tl_eps,
-        max_iters=deck.tl_max_iters,
-        preconditioner=deck.tl_preconditioner_type,
-        ppcg_inner_steps=deck.tl_ppcg_inner_steps,
-        halo_depth=args.halo_depth or deck.tl_ppcg_halo_depth,
-        eigen_warmup_iters=deck.tl_eigen_warmup_iters,
-    )
+    solver = "ppcg" if args.solver == "cppcg" else args.solver
+    options = _deck_options(deck, solver=solver, halo_depth=args.halo_depth)
     clock_factory = None
     if args.virtual_clock:
         from repro.resilience import VirtualClock
@@ -288,10 +250,8 @@ async def _serve_demo() -> int:
 
     deck = CROOKED_PIPE_DECK.format(n=12)
     with SolveService(workers=2, quota_rate=50.0, quota_burst=4.0) as svc:
-        jobs = [svc.submit(deck, tenant="demo", n=12)
-                for _ in range(3)]
-        jobs.append(svc.submit(deck, tenant="demo", n=12,
-                               deadline_s=1e-4))
+        jobs = [svc.submit(deck, tenant="demo") for _ in range(3)]
+        jobs.append(svc.submit(deck, tenant="demo", deadline_s=1e-4))
         jobs.append(svc.submit("*tea\nbogus=1\n*endtea\n", tenant="demo"))
         outcomes = await asyncio.gather(*jobs)
     for o in outcomes:

@@ -157,11 +157,11 @@ def _bench_kernels(backends, grids, dtypes, warmup, repeats) -> list[dict]:
 
 
 def _bench_solvers(backends, n, warmup, repeats) -> list[dict]:
-    from repro.solvers import SolverOptions, solve_linear
-    from repro.testing import crooked_pipe_system, serial_operator
+    from repro.physics.deck import crooked_pipe_deck, deck_system
+    from repro.solvers import SolverOptions, serial_operator, solve_linear
 
     cases = []
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
+    grid, kxg, kyg, bg = deck_system(crooked_pipe_deck(n))
     for solver, iters in SOLVER_CASES:
         for name in backends:
             opt = SolverOptions(solver=solver, eps=EPS_NEVER, max_iters=iters,

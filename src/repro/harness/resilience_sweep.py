@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.physics.deck import crooked_pipe_deck, deck_system
 from repro.resilience import FaultPlan, FaultRule, ResilienceReport, run_resilient
 from repro.solvers import SolverOptions
 
@@ -142,10 +143,11 @@ def run_resilience_sweep(n: int = 24,
     result = ResilienceSweepResult(
         n=n, seed=seed, rates=tuple(rates),
         solvers=tuple(name for name, _ in solvers))
+    system = deck_system(crooked_pipe_deck(n))
     for name, options in solvers:
         for rate in rates:
             result.reports[(name, rate)] = run_resilient(
-                options, fault_plan(rate, seed), n=n, size=size,
+                options, fault_plan(rate, seed), system, size=size,
                 integrity=integrity)
     return result
 

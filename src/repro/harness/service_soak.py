@@ -15,8 +15,8 @@ golden run**:
   the journal matches the recovered outcome verbatim;
 - **zero duplicate solves** — once a key's completion is journaled,
   no later bearer of that idempotency key is ever admitted for a solve;
-- **differential oracle** — every served solution passes PR 7's
-  true-residual check;
+- **differential oracle** — every served solution passes the
+  true-residual check against its own deck's system;
 - **byte identity** — recovered outcomes, the journal record stream,
   and the resulting ``SOAK_SERVICE_<n>.json`` ledger are byte-identical
   to the golden run's, no matter where the kills landed.
@@ -37,13 +37,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.harness.ledger import write_ledger
-from repro.harness.service_sweep import (
-    SWEEP_EPS,
-    _deck_text,
-    _percentile,
-    _weighted,
-)
-from repro.resilience.chaos import ORACLE_RESIDUAL_SLACK, GoldenCache
+from repro.harness.service_sweep import _check_oracle as _sweep_oracle
+from repro.harness.service_sweep import _deck_text, _percentile, _weighted
 from repro.service.engine import ServiceConfig, ServiceEngine
 from repro.service.journal import RequestJournal, scan_journal
 from repro.service.recovery import ResultStore
@@ -96,7 +91,6 @@ def generate_soak_requests(seed: int, count: int) -> list[SolveRequest]:
     for i in range(count):
         now += rng.expovariate(700.0)
         tenant = _weighted(rng, [("acme", 3), ("beta", 2)])
-        n = 12
         roll = rng.random()
         chaos_trial = -1
         chaos_crash = False
@@ -104,7 +98,7 @@ def generate_soak_requests(seed: int, count: int) -> list[SolveRequest]:
             deck = _POISON_DECK
         else:
             flag, extra, chaos_ok = _weighted(rng, mix)
-            deck = _deck_text(flag, extra, n)
+            deck = _deck_text(flag, extra, 12)
             if chaos_ok and rng.random() < 0.40:
                 chaos_trial = i
                 chaos_crash = rng.random() < 0.25
@@ -117,7 +111,6 @@ def generate_soak_requests(seed: int, count: int) -> list[SolveRequest]:
             tenant=tenant,
             arrival_s=now,
             deck_text=deck,
-            n=n,
             deadline_s=deadline,
             cancel_after_s=cancel_after,
             max_attempts=3,
@@ -197,28 +190,12 @@ def _child(root: Path, seed: int, count: int, workers: int,
 
 
 def _check_oracle(outcomes, requests) -> tuple[dict, list[str]]:
-    """PR 7's differential oracle over every served solution."""
-    golden = GoldenCache()
-    threshold = ORACLE_RESIDUAL_SLACK * SWEEP_EPS
-    checked = 0
-    skipped = 0
-    violations: list[str] = []
-    n_of = {r.request_id: r.n for r in requests}
-    for o in outcomes:
-        if o.status not in ("completed", "degraded"):
-            continue
-        if o.x is None:
-            skipped += 1
-            continue
-        checked += 1
-        rel = golden.true_relative_residual(o.x, n_of[o.request_id])
-        if rel > threshold:
-            violations.append(
-                f"{o.request_id}: true relative residual {rel:.3e} "
-                f"> {threshold:.1e}")
-    return ({"checked": checked, "skipped": skipped,
-             "threshold": threshold,
-             "violations": len(violations)}, violations)
+    """The sweep's oracle, plus a count of served outcomes that carry
+    no solution to check."""
+    oracle, violations = _sweep_oracle(outcomes, requests)
+    oracle["skipped"] = sum(o.status in ("completed", "degraded")
+                            and o.x is None for o in outcomes)
+    return oracle, violations
 
 
 # -- journal audits ----------------------------------------------------------

@@ -11,9 +11,9 @@ ledger as ``SERVICE_<n>.json`` (schema ``repro.service/v1``).
 Everything runs on virtual time from seeded draws: two same-seed sweeps
 write **byte-identical** JSON.  The ledger carries per-status counts,
 latency percentiles, shed/degrade/breaker/recovery rates, cache
-statistics and the SLO verdicts; completed/degraded solutions are
-checked against PR 7's differential oracle
-(:class:`~repro.resilience.chaos.GoldenCache` true residuals).
+statistics and the SLO verdicts; every completed/degraded solution is
+checked against the true residual of its own deck's system
+(:func:`~repro.resilience.chaos.true_relative_residual`).
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from repro.harness.ledger import write_ledger
-from repro.physics.deck import CROOKED_PIPE_DECK
-from repro.resilience.chaos import ORACLE_RESIDUAL_SLACK, GoldenCache
+from repro.physics.deck import CROOKED_PIPE_DECK, deck_system, parse_deck_text
+from repro.resilience.chaos import (ORACLE_RESIDUAL_SLACK,
+                                    true_relative_residual)
 from repro.service.engine import ServiceConfig, ServiceEngine
 from repro.service.requests import STATUSES, SolveRequest
 
@@ -125,7 +126,6 @@ def generate_requests(seed: int, count: int, *,
             tenant=tenant,
             arrival_s=now,
             deck_text=deck,
-            n=n,
             deadline_s=deadline,
             cancel_after_s=cancel_after,
             max_attempts=3,
@@ -235,17 +235,17 @@ def _compute_stats(outcomes, engine: ServiceEngine) -> dict:
 
 
 def _check_oracle(outcomes, requests) -> tuple[dict, list[str]]:
-    """Differential oracle over every served solution (PR 7 reuse)."""
-    golden = GoldenCache()
+    """Differential oracle: each served solution against its own deck."""
     threshold = ORACLE_RESIDUAL_SLACK * SWEEP_EPS
     checked = 0
     violations: list[str] = []
-    n_of = {r.request_id: r.n for r in requests}
+    deck_of = {r.request_id: r.deck_text for r in requests}
     for o in outcomes:
         if o.status not in ("completed", "degraded") or o.x is None:
             continue
         checked += 1
-        rel = golden.true_relative_residual(o.x, n_of[o.request_id])
+        system = deck_system(parse_deck_text(deck_of[o.request_id]))
+        rel = true_relative_residual(o.x, system)
         if rel > threshold:
             violations.append(
                 f"{o.request_id}: true relative residual {rel:.3e} "

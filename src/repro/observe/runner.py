@@ -24,7 +24,6 @@ __all__ = [
     "TraceRun",
     "traced_solve",
     "traced_crooked_pipe",
-    "deck_system",
     "record_solve_metrics",
     "record_resilience_metrics",
     "record_stability_metrics",
@@ -48,25 +47,6 @@ class TraceRun:
         for t in self.tracers:
             merged.extend(t.finished())
         return sort_spans(merged)
-
-
-def deck_system(deck):
-    """Global ``(grid, kxg, kyg, bg)`` of a deck's first implicit step.
-
-    Mirrors what ``repro solve`` sets up: the deck's painted initial
-    state, its conductivity model and its initial timestep.
-    """
-    from repro.physics import cell_conductivity, face_coefficients
-    from repro.physics.deck import deck_to_problem
-    from repro.physics.state import global_initial_state
-
-    grid = deck.grid
-    density, _, u0 = global_initial_state(grid, deck_to_problem(deck))
-    kappa = cell_conductivity(density, deck.tl_coefficient)
-    rx = deck.initial_timestep / grid.dx ** 2
-    ry = deck.initial_timestep / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    return grid, kxg, kyg, u0
 
 
 def traced_solve(grid, kxg, kyg, bg, options, *,
@@ -107,10 +87,10 @@ def traced_solve(grid, kxg, kyg, bg, options, *,
 
 def traced_crooked_pipe(n: int = 24, options=None, **kwargs) -> TraceRun:
     """Traced solve of the crooked-pipe first implicit step (CG default)."""
+    from repro.physics.deck import crooked_pipe_deck, deck_system
     from repro.solvers import SolverOptions
-    from repro.testing import crooked_pipe_system
 
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
+    grid, kxg, kyg, bg = deck_system(crooked_pipe_deck(n))
     if options is None:
         options = SolverOptions(solver="cg")
     return traced_solve(grid, kxg, kyg, bg, options, **kwargs)

@@ -22,10 +22,11 @@ from repro.physics.problems import (
     uniform_problem,
     hot_square,
 )
-from repro.physics.state import build_fields, global_initial_state
+from repro.physics.state import build_fields, build_system, global_initial_state
 from repro.physics.deck import (
     Deck,
     deck_solver_options,
+    deck_system,
     deck_to_problem,
     parse_deck,
     parse_deck_text,
@@ -60,6 +61,8 @@ __all__ = [
     "parse_deck_text",
     "deck_to_problem",
     "deck_solver_options",
+    "build_system",
+    "deck_system",
     "Simulation",
     "SimulationReport",
     "run_simulation",

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.mesh.grid import Grid2D
 from repro.physics.conduction import Conductivity
 from repro.physics.problems import ProblemSpec, RegionSpec
+from repro.physics.state import build_system
 from repro.utils.errors import ConfigurationError
 
 #: Bare-flag solver selectors, in TeaLeaf's spelling.
@@ -303,6 +304,17 @@ def deck_to_problem(deck: Deck, name: str = "deck") -> ProblemSpec:
     if not deck.states:
         raise ConfigurationError("deck defines no states")
     return ProblemSpec(regions=tuple(deck.states), name=name)
+
+
+def deck_system(deck: Deck):
+    """Global ``(grid, kxg, kyg, bg)`` of a deck's first implicit step.
+
+    The system the deck's states, mesh, initial timestep and
+    ``tl_coefficient`` define (:func:`~repro.physics.state.build_system`);
+    a deck without states raises :class:`ConfigurationError`.
+    """
+    return build_system(deck.grid, deck_to_problem(deck),
+                        deck.initial_timestep, deck.tl_coefficient)
 
 
 def deck_solver_options(deck: Deck):

@@ -14,7 +14,11 @@ from repro.mesh.decomposition import Tile
 from repro.mesh.field import Field
 from repro.mesh.grid import Grid2D
 from repro.mesh.halo import HaloExchanger, reflect_boundaries
-from repro.physics.conduction import Conductivity, cell_conductivity
+from repro.physics.conduction import (
+    Conductivity,
+    cell_conductivity,
+    face_coefficients,
+)
 from repro.physics.problems import ProblemSpec
 
 
@@ -23,6 +27,25 @@ def global_initial_state(grid: Grid2D, problem: ProblemSpec
     """Rasterise a problem to global ``(density, energy, u)`` arrays."""
     density, energy = problem.paint(grid)
     return density, energy, density * energy
+
+
+def build_system(
+    grid: Grid2D,
+    problem: ProblemSpec,
+    dt: float,
+    conductivity: Conductivity | str = Conductivity.RECIP_DENSITY,
+):
+    """Global ``(grid, kxg, kyg, bg)`` of ``problem``'s first implicit step.
+
+    Every first-step system is built here: it paints the initial state,
+    takes the cell conductivity of the density and scales the face
+    coefficients by ``dt/dx^2`` and ``dt/dy^2``; the right-hand side is
+    the initial temperature.
+    """
+    density, _, u0 = global_initial_state(grid, problem)
+    kappa = cell_conductivity(density, conductivity)
+    kxg, kyg = face_coefficients(kappa, dt / grid.dx ** 2, dt / grid.dy ** 2)
+    return grid, kxg, kyg, u0
 
 
 def build_fields(

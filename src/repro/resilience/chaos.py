@@ -62,7 +62,8 @@ from repro.resilience.faults import (CORRUPTION_MODES, CrashWindow,
 from repro.resilience.recovery import run_recoverable
 from repro.resilience.runner import (DEFAULT_RECV_TIMEOUT_S,
                                      build_resilient_comm, run_resilient)
-from repro.solvers import SolverOptions
+from repro.physics.deck import crooked_pipe_deck, deck_system
+from repro.solvers import SolverOptions, serial_operator
 from repro.utils.errors import (CommunicationError, ConfigurationError,
                                 ConvergenceError)
 
@@ -352,7 +353,7 @@ def random_fault_plan(seed: int,
 
 
 class GoldenCache:
-    """Cached fault-free reference runs plus the true-residual checker.
+    """Cached fault-free reference runs and crooked-pipe systems.
 
     Golden runs depend only on the (kind, options, n, size, steps)
     configuration, never on the fault plan, so a 200-trial campaign pays
@@ -364,11 +365,17 @@ class GoldenCache:
         self._sims: dict = {}
         self._systems: dict = {}
 
+    def system(self, n: int):
+        """The crooked-pipe deck's first-step system at ``n``×``n``."""
+        if n not in self._systems:
+            self._systems[n] = deck_system(crooked_pipe_deck(n))
+        return self._systems[n]
+
     def solve(self, options: SolverOptions, n: int, size: int):
         key = (options, n, size)
         if key not in self._solves:
             self._solves[key] = run_resilient(
-                options, FaultPlan.disabled(), n=n, size=size)
+                options, FaultPlan.disabled(), self.system(n), size=size)
         return self._solves[key]
 
     def sim(self, options: SolverOptions, n: int, size: int, steps: int):
@@ -378,27 +385,21 @@ class GoldenCache:
                                        n=n, size=size, steps=steps)
         return self._sims[key]
 
-    def _system(self, n: int):
-        if n not in self._systems:
-            from repro.testing import crooked_pipe_system, serial_operator
-            grid, kxg, kyg, bg = crooked_pipe_system(n)
-            op = serial_operator(grid, kxg, kyg)
-            b = Field.from_global(op.tile, 1, bg)
-            self._systems[n] = (op, b, float(np.linalg.norm(bg)))
-        return self._systems[n]
 
-    def true_relative_residual(self, x: np.ndarray, n: int) -> float:
-        """``||b - A x|| / ||b||`` recomputed from the global system.
+def true_relative_residual(x: np.ndarray, system) -> float:
+    """``||b - A x|| / ||b||`` recomputed from a global system.
 
-        This is the oracle's own arithmetic — independent of anything the
-        (possibly corrupted) solve believed about its residual.
-        """
-        op, b, bnorm = self._system(n)
-        xf = op.new_field()
-        xf.interior[...] = x
-        out = op.new_field()
-        op.residual(b, xf, out)
-        return float(np.linalg.norm(out.interior)) / bnorm
+    This is the oracle's own arithmetic — independent of anything the
+    (possibly corrupted) solve believed about its residual.
+    """
+    grid, kxg, kyg, bg = system
+    op = serial_operator(grid, kxg, kyg)
+    b = Field.from_global(op.tile, 1, bg)
+    xf = op.new_field()
+    xf.interior[...] = x
+    out = op.new_field()
+    op.residual(b, xf, out)
+    return float(np.linalg.norm(out.interior)) / float(np.linalg.norm(bg))
 
 
 # -- trial drivers -------------------------------------------------------------
@@ -503,14 +504,16 @@ def run_trial(spec: TrialSpec,
             res.golden_iterations = gold.iterations
             if spec.kind == "recover":
                 report = run_recoverable(
-                    spec.options, spec.plan, n=spec.n, size=spec.size,
+                    spec.options, spec.plan, golden.system(spec.n),
+                    size=spec.size,
                     checkpoint_dir=workdir,
                     max_attempts=spec.max_attempts,
                     integrity=spec.integrity,
                     recv_timeout=spec.recv_timeout)
             else:
                 report = run_resilient(
-                    spec.options, spec.plan, n=spec.n, size=spec.size,
+                    spec.options, spec.plan, golden.system(spec.n),
+                    size=spec.size,
                     max_attempts=spec.max_attempts,
                     integrity=spec.integrity,
                     recv_timeout=spec.recv_timeout)
@@ -574,7 +577,7 @@ def _check_solve(res: TrialResult, report, gold, golden: GoldenCache) -> None:
             f"no-hang:virtual-clock {res.virtual_time_s:.3f}s over budget")
     if not report.converged:
         return
-    rel = golden.true_relative_residual(report.x, spec.n)
+    rel = true_relative_residual(report.x, golden.system(spec.n))
     tol = spec.options.eps * ORACLE_RESIDUAL_SLACK
     if not rel <= tol:
         res.violations.append(

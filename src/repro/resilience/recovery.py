@@ -76,8 +76,8 @@ def _drop_rank_windows(plan: FaultPlan, rank: int) -> FaultPlan:
 
 def run_recoverable(options: SolverOptions,
                     plan: FaultPlan,
+                    system,
                     *,
-                    n: int = 32,
                     size: int = 1,
                     checkpoint_dir,
                     max_attempts: int = 5,
@@ -86,7 +86,7 @@ def run_recoverable(options: SolverOptions,
                     recv_timeout: float | None = DEFAULT_RECV_TIMEOUT_S) -> ResilienceReport:
     """Run :func:`run_resilient`, surviving unrecoverable rank loss.
 
-    Solves the crooked-pipe benchmark with durable guard checkpoints under
+    Solves ``system`` with durable guard checkpoints under
     ``checkpoint_dir``; when an attempt dies of an escalated crash window,
     performs one shrink/respawn recovery (up to ``max_recoveries``) and
     resumes from the last collective checkpoint.  The returned report is
@@ -103,7 +103,7 @@ def run_recoverable(options: SolverOptions,
     resume = False
     while True:
         try:
-            report = run_resilient(options, current, n=n, size=size,
+            report = run_resilient(options, current, system, size=size,
                                    max_attempts=max_attempts,
                                    recv_timeout=recv_timeout,
                                    integrity=integrity,

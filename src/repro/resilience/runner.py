@@ -7,7 +7,8 @@ Two conveniences live here:
   layers so callers can inspect fault logs, retry counts and the virtual
   clock afterwards;
 - :func:`run_resilient` runs one :class:`~repro.solvers.SolverOptions`
-  configuration on the crooked-pipe benchmark system through that stack —
+  configuration on a global ``(grid, kxg, kyg, bg)`` system (see
+  :func:`repro.physics.deck_system`) through that stack —
   serial or genuinely decomposed over the thread SPMD world — and returns
   a :class:`ResilienceReport` whose fault-event log is deterministically
   ordered, so two runs with the same plan and seed compare equal
@@ -149,8 +150,8 @@ class ResilienceReport:
 
 def run_resilient(options: SolverOptions,
                   plan: FaultPlan,
+                  system,
                   *,
-                  n: int = 32,
                   size: int = 1,
                   max_attempts: int = 5,
                   recv_timeout: float | None = DEFAULT_RECV_TIMEOUT_S,
@@ -159,11 +160,12 @@ def run_resilient(options: SolverOptions,
                   resume: bool | str = False,
                   cancel=None,
                   setup=None) -> ResilienceReport:
-    """Solve the ``n``×``n`` crooked-pipe system through the fault stack.
+    """Solve ``system`` — global ``(grid, kxg, kyg, bg)`` — through the
+    fault stack.
 
-    Builds the benchmark's first-implicit-step system, decomposes it over
-    ``size`` ranks (serial for ``size == 1``), wraps every rank's
-    communicator via :func:`build_resilient_comm`, and solves with
+    Decomposes the system over ``size`` ranks (serial for ``size ==
+    1``), wraps every rank's communicator via
+    :func:`build_resilient_comm`, and solves with
     ``options`` — guard and degradation behaviour included when the
     options enable them (``guard_interval > 0``).
 
@@ -196,9 +198,7 @@ def run_resilient(options: SolverOptions,
     the ``recv_timeout`` argument (deck/CLI knob wins over library
     default).
     """
-    from repro.testing import crooked_pipe_system
-
-    grid, kxg, kyg, bg = crooked_pipe_system(n)
+    grid, kxg, kyg, bg = system
     halo = options.required_field_halo
     if options.comm_timeout > 0:
         recv_timeout = options.comm_timeout

@@ -5,11 +5,12 @@ and the cg family refactorises its block-Jacobi preconditioner on every
 solve — both are pure functions of (mesh, coefficients, solver options),
 so a service replaying similar decks can reuse them.  The cache stores
 :class:`~repro.solvers.driver.SolveSetup` values under caller-built
-keys and guards every hit with a content fingerprint taken at insert
-time: a mismatch (bit-rot, an aliasing caller that mutated the cached
-arrays) counts as *corruption*, invalidates the entry and reports a
-miss — a corrupt setup silently injected into a solve would poison every
-request behind it.
+keys (the engine's start with :func:`operator_digest`) and guards every
+hit with a content fingerprint taken at insert time: a mismatch
+(bit-rot, an aliasing caller that mutated the cached arrays) counts as
+*corruption*, invalidates the entry and reports a miss — a corrupt
+setup silently injected into a solve would poison every request behind
+it.
 
 Metrics (hits / misses / evictions / corruptions) are plain counters
 mirrored into an optional
@@ -18,11 +19,26 @@ mirrored into an optional
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from collections import OrderedDict
 
 from repro.utils.validation import check_positive
+
+
+def operator_digest(grid, kxg, kyg) -> str:
+    """SHA-256 of an operator's grid shape, face coefficients and dtype.
+
+    The operator part of a setup-cache key: two decks share eigenvalue
+    bounds or block-Jacobi factors only when their operators are
+    bit-identical.
+    """
+    h = hashlib.sha256(repr((grid.shape, kxg.dtype.str, kyg.dtype.str))
+                       .encode())
+    h.update(kxg.tobytes())
+    h.update(kyg.tobytes())
+    return h.hexdigest()
 
 
 def fingerprint(obj) -> int:

@@ -26,7 +26,8 @@ Per request the engine provides:
 - **graceful degradation** — queue-pressure watermarks ladder options
   down (:mod:`repro.service.degrade`);
 - **setup caching** — eigenvalue bounds / block-Jacobi factorizations
-  reused across requests (:mod:`repro.service.cache`).
+  reused across requests with the same operator digest
+  (:mod:`repro.service.cache`).
 
 Every request terminates in exactly one
 :data:`~repro.service.requests.STATUSES` — the engine has no
@@ -40,10 +41,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.observe.metrics import MetricsRegistry
-from repro.physics.deck import deck_solver_options, parse_deck_text
+from repro.physics.deck import (deck_solver_options, deck_system,
+                                parse_deck_text)
 from repro.resilience.chaos import random_fault_plan
 from repro.service.cancel import CancelToken, ScheduledCancel
-from repro.service.cache import SetupCache
+from repro.service.cache import SetupCache, operator_digest
 from repro.service.degrade import degrade_for_pressure
 from repro.service.quota import TokenBucket
 from repro.service.recovery import (
@@ -57,6 +59,8 @@ from repro.service.supervisor import SupervisedToken
 from repro.service.worker import WorkerGroup
 from repro.solvers.driver import SolveSetup
 from repro.solvers.eigen import EigenBounds
+from repro.solvers.operator import serial_operator
+from repro.solvers.preconditioners import make_local_preconditioner
 from repro.utils.errors import ConfigurationError, JournalError
 
 #: Virtual seconds one solver iteration costs per mesh cell.
@@ -76,9 +80,9 @@ _SOLVER_WEIGHT = {
 }
 
 
-def iteration_cost_s(solver: str, n: int) -> float:
-    """Virtual cost of one outer iteration of ``solver`` on an n×n mesh."""
-    return _SOLVER_WEIGHT.get(solver, 1.0) * _CELL_COST_S * n * n
+def iteration_cost_s(solver: str, grid) -> float:
+    """Virtual cost of one outer iteration of ``solver`` on ``grid``."""
+    return _SOLVER_WEIGHT.get(solver, 1.0) * _CELL_COST_S * grid.nx * grid.ny
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,7 @@ class _Pending:
     attempts: int = 0
     last_worker: int = -1
     options: object = None          #: parsed SolverOptions (lazy)
+    system: tuple | None = None     #: the deck's (grid, kxg, kyg, bg)
     parse_error: BaseException | None = None
     degrade_steps: list = field(default_factory=list)
     digest: str = ""                #: converged solution's content digest
@@ -299,7 +304,7 @@ class ServiceEngine:
         self._count("admitted")
         self._journal({"type": "accepted", "request_id": req.request_id,
                        "tenant": req.tenant, "arrival_s": req.arrival_s,
-                       "key": req.idempotency_key, "n": req.n,
+                       "key": req.idempotency_key,
                        "deck_sha": deck_fingerprint(req.deck_text)})
         self._enqueue(_Pending(req=req, outcome=outcome))
 
@@ -341,7 +346,8 @@ class ServiceEngine:
             self._execute(pending, worker)
 
     def _parse(self, pending: _Pending) -> bool:
-        """Parse the deck once; False means the request is poison."""
+        """Parse the deck and build its system once; False means the
+        request is poison."""
         if pending.options is not None or pending.parse_error is not None:
             return pending.parse_error is None
         try:
@@ -360,6 +366,7 @@ class ServiceEngine:
                                     or options.checkpoint_interval),
                     checkpoint_interval=0, checkpoint_dir="")
             pending.options = options
+            pending.system = deck_system(deck)
         except (ConfigurationError, ValueError) as exc:
             pending.parse_error = exc
         return pending.parse_error is None
@@ -371,13 +378,14 @@ class ServiceEngine:
             return None
         return self.checkpoint_root / pending.req.request_id
 
-    def _cache_key(self, options, n: int):
-        return (n, self.config.group_size, options.solver,
-                options.preconditioner, options.halo_depth,
+    def _cache_key(self, options, system):
+        grid, kxg, kyg, _ = system
+        return (operator_digest(grid, kxg, kyg), self.config.group_size,
+                options.solver, options.preconditioner, options.halo_depth,
                 options.ppcg_inner_steps, options.eigen_warmup_iters,
                 options.eigen_safety, options.dtype)
 
-    def _setup_for(self, options, n: int):
+    def _setup_for(self, options, system):
         """Cache lookup (and eager block-Jacobi build) for this dispatch.
 
         Returns ``(key, setup, hit)``: ``hit`` is True only when the
@@ -387,26 +395,24 @@ class ServiceEngine:
         if not self.config.cache_enabled:
             return None, None, False
         if options.solver in ("chebyshev", "ppcg"):
-            key = self._cache_key(options, n)
+            key = self._cache_key(options, system)
             setup = self.cache.get(key)
             return key, setup, setup is not None
         if options.solver in ("cg", "cg_fused") \
                 and options.preconditioner == "block_jacobi" \
                 and self.config.group_size == 1:
-            key = self._cache_key(options, n)
+            key = self._cache_key(options, system)
             setup = self.cache.get(key)
             if setup is not None:
                 return key, setup, True
             setup = SolveSetup(
-                preconditioner=self._build_preconditioner(options, n))
+                preconditioner=self._build_preconditioner(options, system))
             self.cache.put(key, setup)
             return key, setup, False
         return None, None, False
 
-    def _build_preconditioner(self, options, n: int):
-        from repro.solvers.preconditioners import make_local_preconditioner
-        from repro.testing import crooked_pipe_system, serial_operator
-        grid, kxg, kyg, _ = crooked_pipe_system(n)
+    def _build_preconditioner(self, options, system):
+        grid, kxg, kyg, _ = system
         op = serial_operator(grid, kxg, kyg,
                              halo=options.required_field_halo)
         return make_local_preconditioner(op, options.preconditioner)
@@ -445,7 +451,7 @@ class ServiceEngine:
         outcome.solver = options.solver
         outcome.degrade_steps = list(pending.degrade_steps)
 
-        cost = iteration_cost_s(options.solver, req.n)
+        cost = iteration_cost_s(options.solver, pending.system[0])
 
         # Deadline → iteration budget (pure function of the counter).
         token = CancelToken()
@@ -487,7 +493,7 @@ class ServiceEngine:
                                      fatal_crash=req.chaos_crash
                                      and pending.attempts == 1)
 
-        key, setup, cache_hit = self._setup_for(options, req.n)
+        key, setup, cache_hit = self._setup_for(options, pending.system)
         outcome.cache_hit = cache_hit
 
         # Exactly-once execution: an attempt whose classified result is
@@ -521,7 +527,7 @@ class ServiceEngine:
                                               pending.attempts):
                 resume = "exact"
             with self.tracer.span("request", req.request_id):
-                result = worker.execute(options, req.n, plan=plan,
+                result = worker.execute(options, pending.system, plan=plan,
                                         cancel=cancel, setup=setup,
                                         checkpoint_dir=ckpt_dir,
                                         resume=resume)

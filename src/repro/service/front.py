@@ -36,7 +36,8 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.physics.deck import deck_solver_options, parse_deck_text
+from repro.physics.deck import (deck_solver_options, deck_system,
+                                parse_deck_text)
 from repro.service.cancel import CancelToken
 from repro.service.quota import TokenBucket
 from repro.service.recovery import (
@@ -132,10 +133,10 @@ class SolveService:
         return None
 
     async def submit(self, deck_text: str, *, tenant: str = "default",
-                     n: int = 16, deadline_s: float | None = None,
+                     deadline_s: float | None = None,
                      cancel: CancelToken | None = None,
                      idempotency_key: str = "") -> RequestOutcome:
-        """Admit and run one solve; always returns a terminal outcome.
+        """Admit and solve one deck; always returns a terminal outcome.
 
         Pass your own ``cancel`` token to retain a mid-flight cancel
         handle (``token.cancel()`` from any task/thread aborts the solve
@@ -181,7 +182,7 @@ class SolveService:
             return outcome
         self._journal({"type": "accepted",
                        "request_id": outcome.request_id, "tenant": tenant,
-                       "arrival_s": now, "key": idempotency_key, "n": n,
+                       "arrival_s": now, "key": idempotency_key,
                        "deck_sha": deck_fingerprint(deck_text)})
 
         token = cancel if cancel is not None else CancelToken()
@@ -194,7 +195,11 @@ class SolveService:
         self._inflight += 1
         try:
             try:
-                options = deck_solver_options(parse_deck_text(deck_text))
+                deck = parse_deck_text(deck_text)
+                options = deck_solver_options(deck)
+                # Off the event loop: a 512² build takes tens of ms.
+                system = await loop.run_in_executor(
+                    self._executor, deck_system, deck)
             except (ConfigurationError, ValueError) as exc:
                 outcome.status = "failed"
                 outcome.error_class = type(exc).__name__
@@ -231,7 +236,7 @@ class SolveService:
                     result = await loop.run_in_executor(
                         self._executor,
                         lambda w=worker, t=run_token:
-                            w.execute(options, n, cancel=t))
+                            w.execute(options, system, cancel=t))
                 finally:
                     if watchdog is not None:
                         watchdog.cancel()

@@ -1,10 +1,12 @@
 """Request/outcome records of the multi-tenant solve service.
 
 A :class:`SolveRequest` is a deck-style solve submission: the deck text
-is parsed *at dispatch time* (not at admission), so a poison deck costs
-the service one structured ``failed`` outcome instead of crashing the
-front-end.  A :class:`RequestOutcome` is the terminal record every
-request ends in — the engine guarantees exactly one of the
+alone defines what is solved — its options *and* its first-step system
+(:func:`repro.physics.deck_system`).  It is parsed *at dispatch time*
+(not at admission), so a poison deck costs the service one structured
+``failed`` outcome instead of crashing the front-end.  A
+:class:`RequestOutcome` is the terminal record every request ends in —
+the engine guarantees exactly one of the
 :data:`STATUSES` for every admitted or shed request, which is what the
 sweep's "zero unclassified failures" acceptance gate asserts on.
 
@@ -47,7 +49,6 @@ class SolveRequest:
     tenant: str
     arrival_s: float
     deck_text: str
-    n: int = 16
     deadline_s: float | None = None
     cancel_after_s: float | None = None
     max_attempts: int = 2

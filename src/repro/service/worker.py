@@ -77,12 +77,13 @@ class WorkerGroup:
     def idle(self) -> bool:
         return self.busy_until <= 0.0
 
-    def execute(self, options: SolverOptions, n: int,
+    def execute(self, options: SolverOptions, system,
                 plan: FaultPlan | None = None,
                 cancel=None, setup=None,
                 checkpoint_dir=None,
                 resume: bool | str = False) -> ExecutionResult:
-        """Run one solve and classify how it ended.
+        """Solve ``system`` (global ``(grid, kxg, kyg, bg)``) and classify
+        how it ended.
 
         Classification drives the engine's terminal-status guarantee:
 
@@ -107,7 +108,7 @@ class WorkerGroup:
         self.executed += 1
         run_plan = plan if plan is not None else FaultPlan.disabled()
         try:
-            report = run_resilient(options, run_plan, n=n,
+            report = run_resilient(options, run_plan, system,
                                    size=self.group_size,
                                    max_attempts=self.max_attempts,
                                    cancel=cancel, setup=setup,

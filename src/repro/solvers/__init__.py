@@ -18,7 +18,8 @@ preconditioners (diagonal Jacobi, 4x1-strip block Jacobi via the Thomas
 algorithm).
 """
 
-from repro.solvers.operator import StencilOperator2D, embed_global
+from repro.solvers.operator import (StencilOperator2D, embed_global,
+                                    serial_operator)
 from repro.solvers.operator3d import DistributedOperator3D, embed_global_3d
 from repro.solvers.result import SolveResult
 from repro.solvers.eigen import (
@@ -48,6 +49,7 @@ from repro.solvers.driver import solve_linear
 __all__ = [
     "StencilOperator2D",
     "embed_global",
+    "serial_operator",
     "DistributedOperator3D",
     "embed_global_3d",
     "SolveResult",

@@ -27,8 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.comm.base import Communicator
+from repro.comm.serial import SerialComm
 from repro.kernels import DEFAULT_BACKEND, KernelBackend, get_backend
-from repro.mesh.decomposition import Tile
+from repro.mesh.decomposition import Tile, decompose
 from repro.mesh.field import Field
 from repro.mesh.halo import HaloExchanger
 from repro.utils.errors import ConfigurationError
@@ -325,3 +326,11 @@ class StencilOperator2D:
                     rows.append(idx(k, j)); cols.append(idx(k + 1, j))
                     vals.append(-ky_global[k + 1, j])
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def serial_operator(grid, kxg: np.ndarray, kyg: np.ndarray,
+                    halo: int = 1) -> StencilOperator2D:
+    """A one-rank operator over the whole ``grid``."""
+    tile = decompose(grid, 1)[0]
+    return StencilOperator2D.from_global_faces(tile, halo, kxg, kyg,
+                                               SerialComm())

@@ -9,7 +9,8 @@ reference systems in a line or two:
 - :func:`random_spd_faces` — random positive face coefficients (an SPD
   ``I + D`` operator) for property-style testing;
 - :func:`serial_operator` / :func:`reference_solution` — a one-rank
-  operator and the direct sparse ground truth;
+  operator (re-exported from :mod:`repro.solvers`) and the direct sparse
+  ground truth;
 - :func:`distributed_solve` — run any :class:`SolverOptions` configuration
   genuinely decomposed over the in-process SPMD world and return the
   assembled global solution.
@@ -19,16 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import SerialComm, launch_spmd
+from repro.comm import launch_spmd
 from repro.mesh import Field, Grid2D, decompose
-from repro.physics import (
-    cell_conductivity,
-    crooked_pipe,
-    crooked_pipe_jump,
-    face_coefficients,
-    global_initial_state,
+from repro.physics import build_system, crooked_pipe, crooked_pipe_jump
+from repro.solvers import (
+    SolverOptions,
+    StencilOperator2D,
+    serial_operator,
+    solve_linear,
 )
-from repro.solvers import SolverOptions, StencilOperator2D, solve_linear
 
 __all__ = [
     "crooked_pipe_system",
@@ -45,13 +45,7 @@ def crooked_pipe_system(n: int, dt: float = 0.04):
 
     Returns ``(grid, kx_global, ky_global, b_global)``.
     """
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe())
-    kappa = cell_conductivity(density)
-    rx = dt / grid.dx ** 2
-    ry = dt / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    return grid, kxg, kyg, u0
+    return build_system(Grid2D(n, n), crooked_pipe(), dt)
 
 
 def crooked_pipe_jump_system(n: int, jump: float, dt: float = 0.04):
@@ -59,13 +53,7 @@ def crooked_pipe_jump_system(n: int, jump: float, dt: float = 0.04):
     problem (:func:`~repro.physics.crooked_pipe_jump`): the conductivity
     contrast — and the operator's condition number — scales with ``jump``.
     """
-    grid = Grid2D(n, n)
-    density, _, u0 = global_initial_state(grid, crooked_pipe_jump(jump))
-    kappa = cell_conductivity(density)
-    rx = dt / grid.dx ** 2
-    ry = dt / grid.dy ** 2
-    kxg, kyg = face_coefficients(kappa, rx, ry)
-    return grid, kxg, kyg, u0
+    return build_system(Grid2D(n, n), crooked_pipe_jump(jump), dt)
 
 
 def random_spd_faces(rng: np.random.Generator, ny: int, nx: int,
@@ -76,14 +64,6 @@ def random_spd_faces(rng: np.random.Generator, ny: int, nx: int,
     kx[:, 1:nx] = scale * rng.uniform(0.1, 2.0, size=(ny, nx - 1))
     ky[1:ny, :] = scale * rng.uniform(0.1, 2.0, size=(ny - 1, nx))
     return kx, ky
-
-
-def serial_operator(grid: Grid2D, kxg: np.ndarray, kyg: np.ndarray,
-                    halo: int = 1) -> StencilOperator2D:
-    """A one-rank operator over the whole grid."""
-    tile = decompose(grid, 1)[0]
-    return StencilOperator2D.from_global_faces(tile, halo, kxg, kyg,
-                                               SerialComm())
 
 
 def reference_solution(kxg, kyg, bg):

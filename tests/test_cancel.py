@@ -148,11 +148,12 @@ class TestSolverCancellation:
 
         opts = SolverOptions(solver="cg", eps=1e-10, max_iters=200,
                              guard_interval=2)
+        system = crooked_pipe_system(16)
         with pytest.raises(DeadlineExceeded):
-            run_resilient(opts, FaultPlan.disabled(), n=16,
+            run_resilient(opts, FaultPlan.disabled(), system,
                           checkpoint_dir=tmp_path,
                           cancel=CancelToken(iteration_budget=7))
-        report = run_resilient(opts, FaultPlan.disabled(), n=16,
+        report = run_resilient(opts, FaultPlan.disabled(), system,
                                checkpoint_dir=tmp_path, resume=True)
         assert report.converged
 
@@ -199,7 +200,8 @@ class TestRankCoherentCancellation:
         with pytest.raises(Cancelled):
             run_resilient(SolverOptions(solver="cg", eps=1e-14,
                                         max_iters=200),
-                          FaultPlan.disabled(), n=16, size=2,
+                          FaultPlan.disabled(), crooked_pipe_system(16),
+                          size=2,
                           cancel=ScheduledCancel(token, cancel_at_iteration=4))
 
 

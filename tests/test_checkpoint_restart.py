@@ -53,6 +53,8 @@ from repro.utils.errors import (
 CG_GUARDED = SolverOptions(solver="cg", eps=1e-10, max_iters=600,
                            guard_interval=5)
 
+PIPE_24 = crooked_pipe_system(24)
+
 
 # -- shards and checkpoint directories ----------------------------------------
 
@@ -302,7 +304,7 @@ FATAL_PLAN = FaultPlan(seed=3, crashes=(
 @pytest.mark.distributed
 class TestRankLossRecovery:
     def test_fatal_window_triggers_respawn_and_converges(self, tmp_path):
-        report = run_recoverable(CG_GUARDED, FATAL_PLAN, n=24, size=2,
+        report = run_recoverable(CG_GUARDED, FATAL_PLAN, PIPE_24, size=2,
                                  checkpoint_dir=tmp_path, max_attempts=5)
         assert report.converged
         assert report.recoveries == 1
@@ -313,14 +315,14 @@ class TestRankLossRecovery:
 
     def test_recovery_budget_spent_reraises(self, tmp_path):
         with pytest.raises(CommunicationError):
-            run_recoverable(CG_GUARDED, FATAL_PLAN, n=24, size=2,
+            run_recoverable(CG_GUARDED, FATAL_PLAN, PIPE_24, size=2,
                             checkpoint_dir=tmp_path, max_attempts=5,
                             max_recoveries=0)
 
     def test_survivable_window_needs_no_recovery(self, tmp_path):
         plan = FaultPlan(seed=3, crashes=(
             CrashWindow(rank=1, start=40, length=2),))
-        report = run_recoverable(CG_GUARDED, plan, n=24, size=2,
+        report = run_recoverable(CG_GUARDED, plan, PIPE_24, size=2,
                                  checkpoint_dir=tmp_path, max_attempts=5)
         assert report.converged and report.recoveries == 0
 
@@ -449,8 +451,9 @@ class TestIntegrityAcrossRanks:
     def test_checksummed_halo_exchange_matches_plain(self):
         """A 2-rank guarded CG through the full integrity stack converges
         to the same iterate as the plain stack (checksums are transparent)."""
-        plain = run_resilient(CG_GUARDED, FaultPlan.disabled(), n=24, size=2)
-        checked = run_resilient(CG_GUARDED, FaultPlan.disabled(), n=24,
+        plain = run_resilient(CG_GUARDED, FaultPlan.disabled(), PIPE_24,
+                              size=2)
+        checked = run_resilient(CG_GUARDED, FaultPlan.disabled(), PIPE_24,
                                 size=2, integrity=True)
         assert plain.converged and checked.converged
         assert plain.iterations == checked.iterations
@@ -547,10 +550,10 @@ class TestSweepV2:
 class TestAbftReplay:
     def test_abft_clean_run_unchanged(self):
         """The residual replay never fires on an uncorrupted solve."""
-        base = run_resilient(CG_GUARDED, FaultPlan.disabled(), n=24)
+        base = run_resilient(CG_GUARDED, FaultPlan.disabled(), PIPE_24)
         opts = SolverOptions(solver="cg", eps=1e-10, max_iters=600,
                              guard_interval=5, abft_interval=10)
-        checked = run_resilient(opts, FaultPlan.disabled(), n=24)
+        checked = run_resilient(opts, FaultPlan.disabled(), PIPE_24)
         assert checked.converged
         assert checked.iterations == base.iterations
         assert checked.rollbacks == 0

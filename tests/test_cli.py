@@ -1,10 +1,15 @@
 """Integration tests: the command-line interface."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.cli.main import build_parser, main
-from repro.physics.deck import CROOKED_PIPE_DECK
+from repro.physics.deck import (CROOKED_PIPE_DECK, deck_solver_options,
+                                parse_deck_text)
+from repro.solvers import SolverOptions
 
 
 @pytest.fixture
@@ -95,6 +100,53 @@ class TestSolveCommand:
         shape, fields = read_vtk(out_vtk)
         assert shape == (24, 24)
         assert "density" in fields
+
+
+#: A CG deck setting keys that a hand-written options mapping can drop.
+OPTIONS_DECK = (CROOKED_PIPE_DECK.format(n=12)
+                .replace("use_ppcg", "use_cg")
+                .replace("*endtea", "tl_eigen_warmup_iters=7\n"
+                         "tl_abft_interval=5\ntl_replace_interval=9\n*endtea"))
+
+
+@pytest.mark.parametrize("command, target, flags, given", [
+    ("tealeaf", "repro.physics.simulation.run_simulation", [], {}),
+    ("tealeaf", "repro.physics.simulation.run_simulation",
+     ["--comm-timeout", "2.5"], {"comm_timeout": 2.5}),
+    ("solve", "repro.solvers.solve_linear", [], {}),
+    ("solve", "repro.solvers.solve_linear",
+     ["--dtype", "float32", "--halo-depth", "2"],
+     {"dtype": "float32", "halo_depth": 2}),
+    ("trace", "repro.observe.traced_solve", [], {}),
+    ("trace", "repro.observe.traced_solve", ["--halo-depth", "2"],
+     {"halo_depth": 2}),
+], ids=["tealeaf", "tealeaf-flag", "solve", "solve-flags", "trace",
+        "trace-flag"])
+def test_commands_solve_with_the_decks_options(command, target, flags, given,
+                                               tmp_path, monkeypatch):
+    """Every deck-driven command hands the solver the deck's own options,
+    with only the flags the user gave on top."""
+    deck = tmp_path / "tea.in"
+    deck.write_text(OPTIONS_DECK)
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.extend(a for a in (*args, *kwargs.values())
+                    if isinstance(a, SolverOptions))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, spy)
+    argv = [command, "--deck", str(deck), *flags]
+    if command == "tealeaf":
+        argv += ["--steps", "1"]
+    if command == "trace":
+        argv += ["--out", str(tmp_path / "trace")]
+    main(argv)
+    expected = dataclasses.replace(
+        deck_solver_options(parse_deck_text(OPTIONS_DECK)), **given)
+    assert seen and all(o == expected for o in seen)
 
 
 class TestReportCommand:

@@ -50,6 +50,8 @@ MIX_PLAN = FaultPlan(seed=7, rules=(
 CG_OPTS = SolverOptions(solver="cg", eps=1e-10, max_iters=600,
                         guard_interval=5)
 
+PIPE_24 = crooked_pipe_system(24)
+
 
 def serial_system(n=24, halo=1):
     g, kx, ky, bg = crooked_pipe_system(n)
@@ -102,20 +104,20 @@ class TestFaultPlan:
 
 class TestDeterminism:
     def test_same_seed_identical_runs(self):
-        a = run_resilient(CG_OPTS, MIX_PLAN, n=24)
-        b = run_resilient(CG_OPTS, MIX_PLAN, n=24)
+        a = run_resilient(CG_OPTS, MIX_PLAN, PIPE_24)
+        b = run_resilient(CG_OPTS, MIX_PLAN, PIPE_24)
         assert a.fault_events == b.fault_events
         assert a.iterations == b.iterations
         assert a.residual_norm == b.residual_norm
 
     def test_different_seed_different_faults(self):
         other = FaultPlan(seed=8, rules=MIX_PLAN.rules)
-        a = run_resilient(CG_OPTS, MIX_PLAN, n=24)
-        b = run_resilient(CG_OPTS, other, n=24)
+        a = run_resilient(CG_OPTS, MIX_PLAN, PIPE_24)
+        b = run_resilient(CG_OPTS, other, PIPE_24)
         assert a.fault_events != b.fault_events
 
     def test_events_carry_iteration_stamp(self):
-        report = run_resilient(CG_OPTS, MIX_PLAN, n=24)
+        report = run_resilient(CG_OPTS, MIX_PLAN, PIPE_24)
         assert report.fault_events
         assert all(ev.iteration >= 0 for ev in report.fault_events)
 
@@ -133,15 +135,15 @@ class TestAcceptance:
                       eigen_warmup_iters=10, guard_interval=5, degrade=True),
     ], ids=["cg", "ppcg", "cppcg4"])
     def test_converges_like_fault_free(self, options):
-        clean = run_resilient(options, FaultPlan.disabled(), n=24)
-        faulty = run_resilient(options, MIX_PLAN, n=24)
+        clean = run_resilient(options, FaultPlan.disabled(), PIPE_24)
+        faulty = run_resilient(options, MIX_PLAN, PIPE_24)
         assert clean.converged and faulty.converged
         assert faulty.relative_residual <= 1e-10
         assert faulty.iterations == clean.iterations
         np.testing.assert_allclose(faulty.x, clean.x, atol=1e-9)
 
     def test_faults_actually_fired(self):
-        report = run_resilient(CG_OPTS, MIX_PLAN, n=24)
+        report = run_resilient(CG_OPTS, MIX_PLAN, PIPE_24)
         assert len(report.fault_events) >= 1
         assert any(ev.mode.startswith("corrupt") and ev.op == "allreduce"
                    for ev in report.fault_events)
@@ -233,7 +235,7 @@ class TestGuard:
         plan = FaultPlan(seed=7, rules=(
             FaultRule(mode="corrupt_nan", probability=0.02,
                       ops=("allreduce",)),))
-        report = run_resilient(CG_OPTS, plan, n=24)
+        report = run_resilient(CG_OPTS, plan, PIPE_24)
         assert report.converged and report.rollbacks >= 1
         assert any(ev.action == "rollback" for ev in report.guard_events)
 
@@ -287,7 +289,7 @@ class TestCrashWindows:
     def test_survivable_crash(self):
         plan = FaultPlan(seed=3,
                          crashes=(CrashWindow(rank=1, start=40, length=3),))
-        report = run_resilient(CG_OPTS, plan, n=24, size=4)
+        report = run_resilient(CG_OPTS, plan, PIPE_24, size=4)
         assert report.converged
         crash = [ev for ev in report.fault_events if ev.rule == -1]
         assert crash and all(ev.rank == 1 for ev in crash)
@@ -296,14 +298,14 @@ class TestCrashWindows:
         plan = FaultPlan(seed=3,
                          crashes=(CrashWindow(rank=1, start=40, length=10),))
         with pytest.raises(CommunicationError):
-            run_resilient(CG_OPTS, plan, n=24, size=4, max_attempts=5)
+            run_resilient(CG_OPTS, plan, PIPE_24, size=4, max_attempts=5)
 
     def test_determinism_across_ranks(self):
         plan = FaultPlan(seed=11, rules=(
             FaultRule(mode="error", probability=0.01,
                       ops=("send", "recv", "allreduce")),))
-        a = run_resilient(CG_OPTS, plan, n=24, size=4)
-        b = run_resilient(CG_OPTS, plan, n=24, size=4)
+        a = run_resilient(CG_OPTS, plan, PIPE_24, size=4)
+        b = run_resilient(CG_OPTS, plan, PIPE_24, size=4)
         assert a.converged and a.fault_events == b.fault_events
         assert a.iterations == b.iterations
 

@@ -11,11 +11,15 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.physics.deck import CROOKED_PIPE_DECK
+from repro.physics.deck import CROOKED_PIPE_DECK, deck_system, parse_deck_text
+from repro.resilience.chaos import (ORACLE_RESIDUAL_SLACK,
+                                    true_relative_residual)
 from repro.service import (
     CircuitBreaker,
+    RequestJournal,
     ServiceConfig,
     ServiceEngine,
     SetupCache,
@@ -25,9 +29,11 @@ from repro.service import (
     WorkerGroup,
     degrade_for_pressure,
     fingerprint,
+    scan_journal,
 )
 from repro.solvers import SolverOptions
 from repro.solvers.driver import SolveSetup
+from repro.testing import crooked_pipe_system
 
 
 def _deck(n=12, solver="use_cg", extra=""):
@@ -35,6 +41,14 @@ def _deck(n=12, solver="use_cg", extra=""):
     if extra:
         text = text.replace("*endtea", extra + "\n*endtea")
     return text
+
+
+def _moved(deck):
+    """``deck`` with the crooked pipe's inlet (state 2) moved up 2 units:
+    same mesh, solver and timestep, a different operator and RHS."""
+    inlet = "xmin=0.0 xmax=1.0 ymin=1.0 ymax=2.0"
+    assert deck.count(inlet) == 1
+    return deck.replace(inlet, "xmin=0.0 xmax=1.0 ymin=3.0 ymax=4.0")
 
 
 # -- admission control ---------------------------------------------------------
@@ -177,7 +191,7 @@ class TestDegradeLadder:
 def _req(i, deck, *, arrival=None, **kw):
     return SolveRequest(request_id=f"r{i:03d}", tenant=kw.pop("tenant", "t"),
                         arrival_s=arrival if arrival is not None else i * 0.1,
-                        deck_text=deck, n=kw.pop("n", 12), **kw)
+                        deck_text=deck, **kw)
 
 
 class TestServiceEngine:
@@ -257,6 +271,40 @@ class TestServiceEngine:
         stats = engine.cache.stats()
         assert stats["misses"] == 1 and stats["hits"] == 3
 
+    @pytest.mark.parametrize("group_size", [1, 2])
+    def test_served_answer_is_the_submitted_decks(self, group_size):
+        """Two decks at the same mesh size get their own answers: each
+        served x solves its own deck's system, so the answers differ."""
+        decks = [_deck(), _moved(_deck())]
+        cfg = dataclasses.replace(self.CFG, group_size=group_size)
+        outcomes = ServiceEngine(cfg).run(
+            [_req(i, d) for i, d in enumerate(decks)])
+        eps = parse_deck_text(decks[0]).tl_eps
+        for deck, o in zip(decks, outcomes):
+            assert o.status == "completed"
+            system = deck_system(parse_deck_text(deck))
+            assert true_relative_residual(o.x, system) \
+                <= ORACLE_RESIDUAL_SLACK * eps
+        assert not np.allclose(outcomes[0].x, outcomes[1].x)
+
+    @pytest.mark.parametrize("moved, hit", [(False, True), (True, False)],
+                             ids=["same-deck", "other-states"])
+    def test_setup_cache_keys_on_the_operator(self, tmp_path, moved, hit):
+        """Eigen bounds are reused only for a bit-identical operator: a
+        deck with other material states at the same mesh size misses and
+        estimates its own bounds."""
+        deck = _deck(solver="use_ppcg", extra="tl_eigen_warmup_iters=8")
+        journal = RequestJournal(tmp_path / "wal")
+        engine = ServiceEngine(self.CFG, journal=journal)
+        outcomes = engine.run([_req(0, deck),
+                               _req(1, _moved(deck) if moved else deck)])
+        journal.close()
+        records, _ = scan_journal(tmp_path / "wal")
+        first, then = [r["bounds"] for r in records
+                       if r["type"] == "attempt"]
+        assert [o.cache_hit for o in outcomes] == [False, hit]
+        assert (then == first) is hit
+
     def test_cache_disabled_never_hits(self):
         cfg = dataclasses.replace(self.CFG, cache_enabled=False)
         deck = _deck(solver="use_ppcg", extra="tl_eigen_warmup_iters=8")
@@ -322,7 +370,8 @@ class TestServiceEngine:
 class TestWorkerGroup:
     def test_ok_execution_carries_report(self):
         worker = WorkerGroup(0)
-        result = worker.execute(SolverOptions(solver="cg"), 12)
+        result = worker.execute(SolverOptions(solver="cg"),
+                                crooked_pipe_system(12))
         assert result.kind == "ok" and result.report.converged
         assert result.iterations > 0
 
@@ -330,7 +379,7 @@ class TestWorkerGroup:
         worker = WorkerGroup(0)
         result = worker.execute(
             SolverOptions(solver="chebyshev", eigen_warmup_iters=2,
-                          max_iters=3), 12)
+                          max_iters=3), crooked_pipe_system(12))
         assert result.kind in ("fatal", "ok")   # tiny budget: honest fatal
         if result.kind == "fatal":
             assert result.error_class
@@ -344,10 +393,8 @@ class TestSolveServiceFront:
         async def scenario():
             with SolveService(workers=2, quota_rate=100.0,
                               quota_burst=50.0) as svc:
-                jobs = [svc.submit(_deck(), tenant="a", n=12)
-                        for _ in range(3)]
-                jobs.append(svc.submit(_deck(), tenant="a", n=12,
-                                       deadline_s=1e-4))
+                jobs = [svc.submit(_deck(), tenant="a") for _ in range(3)]
+                jobs.append(svc.submit(_deck(), tenant="a", deadline_s=1e-4))
                 jobs.append(svc.submit("*tea\nbogus=1\n*endtea\n",
                                        tenant="a"))
                 return await asyncio.gather(*jobs)
@@ -363,8 +410,8 @@ class TestSolveServiceFront:
         async def scenario():
             with SolveService(workers=1, quota_rate=1.0,
                               quota_burst=1.0) as svc:
-                first = await svc.submit(_deck(), tenant="t", n=12)
-                second = await svc.submit(_deck(), tenant="t", n=12)
+                first = await svc.submit(_deck(), tenant="t")
+                second = await svc.submit(_deck(), tenant="t")
                 return first, second
 
         first, second = asyncio.run(scenario())

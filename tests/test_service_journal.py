@@ -251,7 +251,7 @@ def _requests(count, *, deck=CG_DECK, keys=()):
     # record-stream prefix is a valid crash state for a shorter workload.
     return [SolveRequest(
         request_id=f"req-{i:03d}", tenant="acme", arrival_s=i * 0.5,
-        deck_text=deck, n=12, max_attempts=2,
+        deck_text=deck, max_attempts=2,
         idempotency_key=keys[i] if i < len(keys) else "")
         for i in range(count)]
 
