@@ -54,8 +54,13 @@ class RegionSpec:
         if self.geometry == "circle":
             cx, cy, r = self.bounds
             return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
-        # point: the single cell containing (x, y)
+        # point: the single cell containing (x, y); a point off the mesh
+        # would index out of range (or wrap to the opposite edge)
         x, y = self.bounds
+        xmin, xmax, ymin, ymax = grid.extent
+        require(xmin <= x <= xmax and ymin <= y <= ymax,
+                f"point ({x}, {y}) lies outside the mesh extent "
+                f"{grid.extent}")
         j = min(int((x - grid.extent[0]) / grid.dx), grid.nx - 1)
         k = min(int((y - grid.extent[2]) / grid.dy), grid.ny - 1)
         m = np.zeros(grid.shape, dtype=bool)

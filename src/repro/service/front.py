@@ -197,9 +197,7 @@ class SolveService:
             try:
                 deck = parse_deck_text(deck_text)
                 options = deck_solver_options(deck)
-                # Off the event loop: a 512² build takes tens of ms.
-                system = await loop.run_in_executor(
-                    self._executor, deck_system, deck)
+                system = deck_system(deck)
             except (ConfigurationError, ValueError) as exc:
                 outcome.status = "failed"
                 outcome.error_class = type(exc).__name__

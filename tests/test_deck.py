@@ -1,9 +1,11 @@
 """Unit tests: input-deck parsing."""
 
+import numpy as np
 import pytest
 
-from repro.physics import Conductivity, parse_deck, parse_deck_text
+from repro.physics import Conductivity, deck_system, parse_deck, parse_deck_text
 from repro.physics.deck import CROOKED_PIPE_DECK, crooked_pipe_deck, deck_to_problem
+from repro.testing import crooked_pipe_system
 from repro.utils import ConfigurationError
 
 MINIMAL = """
@@ -39,6 +41,17 @@ class TestParseDeck:
         problem = deck_to_problem(deck)
         assert problem.regions[1].geometry == "rectangle"
         assert problem.regions[1].energy == 25.0
+
+    @pytest.mark.parametrize("n", [4, 12, 24, 96])
+    def test_crooked_pipe_deck_builds_the_testing_system(self, n):
+        # Library callers build the pipe from the deck text, tests from
+        # the crooked_pipe() ProblemSpec; pinned ledgers need both equal.
+        grid, kxg, kyg, bg = deck_system(crooked_pipe_deck(n))
+        ref_grid, ref_kxg, ref_kyg, ref_bg = crooked_pipe_system(n)
+        assert grid == ref_grid
+        np.testing.assert_array_equal(kxg, ref_kxg)
+        np.testing.assert_array_equal(kyg, ref_kyg)
+        np.testing.assert_array_equal(bg, ref_bg)
 
     def test_grid_and_steps_properties(self):
         deck = crooked_pipe_deck(64)

@@ -39,6 +39,14 @@ class TestRegionSpec:
         m = RegionSpec(1.0, 1.0, "point", (10.0, 10.0)).mask(g)
         assert m[3, 3]
 
+    @pytest.mark.parametrize("point", [(5.0, -1000.0), (5.0, -1.0),
+                                       (10.5, 5.0), (float("nan"), 5.0),
+                                       (float("inf"), 5.0)])
+    def test_point_off_the_mesh_is_a_configuration_error(self, point):
+        # Unchecked, these index out of range or wrap to the far edge.
+        with pytest.raises(ConfigurationError, match="outside the mesh"):
+            RegionSpec(1.0, 1.0, "point", point).mask(Grid2D(12, 12))
+
     def test_wrong_bounds_count(self):
         with pytest.raises(ConfigurationError):
             RegionSpec(1.0, 1.0, "rectangle", (0.0, 1.0))

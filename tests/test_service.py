@@ -51,6 +51,15 @@ def _moved(deck):
     return deck.replace(inlet, "xmin=0.0 xmax=1.0 ymin=3.0 ymax=4.0")
 
 
+#: Decks that parse but define no buildable system: each must cost one
+#: structured ``failed`` outcome, never the run.
+_UNBUILDABLE = {
+    "off_mesh_point": _deck(extra="state 6 density=1 energy=1 geometry=point"
+                                  " xcentre=5 ycentre=-1000"),
+    "no_states": "*tea\nx_cells=12\ny_cells=12\nuse_cg\n*endtea\n",
+}
+
+
 # -- admission control ---------------------------------------------------------
 
 
@@ -216,6 +225,16 @@ class TestServiceEngine:
         assert by_id["r004"].status == "completed"
         assert by_id["r000"].iterations > 0
         assert by_id["r000"].x is not None
+
+    @pytest.mark.parametrize("name", sorted(_UNBUILDABLE))
+    def test_unbuildable_deck_fails_alone(self, name):
+        reqs = [_req(0, _deck()), _req(1, _UNBUILDABLE[name]),
+                _req(2, _deck())]
+        outcomes = ServiceEngine(self.CFG).run(reqs)
+        by_id = {o.request_id: o for o in outcomes}
+        assert by_id["r001"].status == "failed"
+        assert by_id["r001"].error_class == "ConfigurationError"
+        assert by_id["r000"].status == by_id["r002"].status == "completed"
 
     def test_quota_sheds_heavy_hitter_only(self):
         cfg = dataclasses.replace(self.CFG, quota_rate=10.0, quota_burst=2.0)
@@ -405,6 +424,20 @@ class TestSolveServiceFront:
         assert statuses[3] == "deadline_exceeded"
         assert statuses[4] == "failed"
         assert outcomes[4].error_class == "ConfigurationError"
+
+    @pytest.mark.parametrize("name", sorted(_UNBUILDABLE))
+    def test_unbuildable_deck_fails_alone(self, name):
+        async def scenario():
+            with SolveService(workers=2, quota_rate=100.0,
+                              quota_burst=50.0) as svc:
+                return await asyncio.gather(
+                    svc.submit(_UNBUILDABLE[name], tenant="a"),
+                    svc.submit(_deck(), tenant="a"))
+
+        bad, good = asyncio.run(scenario())
+        assert bad.status == "failed"
+        assert bad.error_class == "ConfigurationError"
+        assert good.status == "completed"
 
     def test_quota_shed_is_structured(self):
         async def scenario():
